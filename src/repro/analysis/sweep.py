@@ -11,15 +11,14 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.runtime import (
     ParallelExecutor,
     SweepCheckpoint,
     SweepTiming,
     canonical,
-    make_checkpoint,
-    resolve_checkpoint_dir,
+    run_grid,
     stable_hash,
 )
 
@@ -39,6 +38,16 @@ class SweepResult:
     columns: tuple[str, ...]
     rows: list[dict] = field(default_factory=list)
     timing: SweepTiming | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_records(
+        cls, columns: Sequence[str], records: Iterable[dict], timing: SweepTiming | None = None
+    ) -> "SweepResult":
+        """A result holding ``records`` (projected onto ``columns``) in order."""
+        out = cls(columns=tuple(columns), timing=timing)
+        for record in records:
+            out.add(**record)
+        return out
 
     def add(self, **record) -> None:
         """Append one record (must cover every column)."""
@@ -93,26 +102,20 @@ def _contains_repr_fallback(doc: object) -> bool:
 
 
 def run_sweep(
-    columns,
-    grid: Iterable | None = None,
-    evaluate: Callable[..., dict] | None = None,
+    columns: Sequence[str],
+    grid: Iterable,
+    evaluate: Callable[..., dict],
     *,
     unpack: bool = True,
     executor: ParallelExecutor | None = None,
-    cache=None,
     checkpoint: "SweepCheckpoint | str | bool | None" = None,
     checkpoint_key: str | None = None,
 ) -> SweepResult:
-    """Evaluate a function over a grid of points — or a whole scenario.
+    """Evaluate a function over a grid of points.
 
-    Passing a :class:`~repro.scenario.spec.Scenario` as the first argument
-    dispatches to :func:`~repro.scenario.runner.run_scenario`: the
-    scenario carries its own grid and evaluator, so ``grid``/``evaluate``
-    must be omitted (``cache`` applies only on this path).
-
-    Otherwise ``grid`` yields scalars or tuples; with ``unpack=True`` (the
-    default) tuple points are splatted into ``evaluate(*point)``.  Grids
-    whose *scalar* points happen to be tuples — e.g. ``(lo, hi)`` bracket
+    ``grid`` yields scalars or tuples; with ``unpack=True`` (the default)
+    tuple points are splatted into ``evaluate(*point)``.  Grids whose
+    *scalar* points happen to be tuples — e.g. ``(lo, hi)`` bracket
     values — must pass ``unpack=False`` to receive each point as one
     argument; the historical behavior silently splatted them.
 
@@ -135,22 +138,7 @@ def run_sweep(
     non-plain-data points, and recommended when the evaluator changes
     meaning between runs).
     """
-    from repro.scenario.spec import Scenario
-
-    if isinstance(columns, Scenario):
-        if grid is not None or evaluate is not None:
-            raise ValueError("a Scenario carries its own grid and evaluator")
-        if checkpoint_key is not None:
-            raise ValueError("a Scenario derives its own checkpoint key")
-        from repro.scenario.runner import run_scenario
-
-        return run_scenario(columns, executor=executor, cache=cache, checkpoint=checkpoint)
-    if grid is None or evaluate is None:
-        raise ValueError("run_sweep requires grid and evaluate (or a Scenario)")
-    if cache is not None:
-        raise ValueError("cache applies only to Scenario sweeps")
     points = list(grid)
-    total = len(points)
     ex = executor if executor is not None else ParallelExecutor.from_env()
 
     def call(point):
@@ -158,53 +146,16 @@ def run_sweep(
             return evaluate(*point)
         return evaluate(point)
 
-    ckpt: SweepCheckpoint | None = None
-    if checkpoint is not False and (
-        checkpoint is not None or resolve_checkpoint_dir() is not None
-    ):
-        key = checkpoint_key if checkpoint_key is not None else _grid_key(columns, points)
-        ckpt = make_checkpoint(checkpoint, key, total)
-    loaded: dict[int, Any] = {} if ckpt is None else ckpt.load()
-    pending = [i for i in range(total) if not isinstance(loaded.get(i), dict)]
-    records: list = [loaded[i] if i not in pending else None for i in range(total)]
-    seconds = [0.0] * total
-    wall = 0.0
-    workers = 1
-    retries = 0
-    if pending:
-        on_result: Callable[[int, object], None] | None = None
-        if ckpt is not None:
-            active = ckpt
+    def key() -> str:
+        return checkpoint_key if checkpoint_key is not None else _grid_key(columns, points)
 
-            def _persist(local_index: int, value: object) -> None:
-                active.record(pending[local_index], value)
-
-            on_result = _persist
-        try:
-            report = ex.map_timed(call, [points[i] for i in pending], on_result=on_result)
-        except BaseException:
-            # Keep whatever finished: an interrupted sweep resumes from here.
-            if ckpt is not None:
-                ckpt.flush()
-            raise
-        for index, value, secs in zip(pending, report.values, report.seconds):
-            records[index] = value
-            seconds[index] = secs
-        wall = report.wall_seconds
-        workers = report.workers
-        retries = report.retries
-    if ckpt is not None:
-        ckpt.complete()
-    result = SweepResult(columns=tuple(columns))
-    for record in records:
-        result.add(**record)
-    result.timing = SweepTiming(
-        wall_seconds=wall,
-        point_seconds=tuple(seconds),
-        workers=workers,
-        retries=retries,
+    records, timing = run_grid(
+        key,
+        points,
+        lambda todo, on_result: ex.map_timed(call, todo, on_result=on_result),
+        checkpoint=checkpoint,
     )
-    return result
+    return SweepResult.from_records(columns, records, timing)
 
 
 def write_csv(result: SweepResult, path: str) -> str:

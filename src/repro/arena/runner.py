@@ -17,7 +17,7 @@ relative to the unjammed baseline column at the same grid coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
 from repro.arena.spec import ArenaError, ArenaSpec
 from repro.core.link import LinkSimulator, LinkStats
@@ -25,9 +25,8 @@ from repro.runtime import (
     ParallelExecutor,
     ResultCache,
     SweepTiming,
-    make_checkpoint,
-    resolve_batch,
-    stable_hash,
+    resolve_cache,
+    run_spec_grid,
 )
 
 if TYPE_CHECKING:
@@ -45,15 +44,6 @@ TOURNAMENT_COLUMNS = (
     "jammer", "pattern", "num_bands", "hop_range",
     "per", "per_lo", "per_hi", "ber", "throughput_bps",
 )
-
-
-def _cache_token(cache: "ResultCache | str | bool | None") -> "str | bool | None":
-    """Flatten a cache argument to picklable data for the spec payload."""
-    if cache is None or cache is False:
-        return cache
-    if isinstance(cache, ResultCache):
-        return cache.root
-    return str(cache)
 
 
 def _cell_record(
@@ -96,15 +86,7 @@ def evaluate_arena_cell(payload: dict, index: int) -> dict:
     entry.
     """
     spec = ArenaSpec.from_dict(payload["arena"])
-    token = payload.get("cache")
-    if token is None:
-        store = ResultCache.from_env()
-    elif token is False:
-        store = None
-    elif isinstance(token, str):
-        store = ResultCache(token)
-    else:
-        store = token
+    store = resolve_cache(payload.get("cache"))
     config, jammer, label, pattern, num_bands = spec.build_cell(int(index))
     key = None
     if store is not None:
@@ -215,11 +197,7 @@ class TournamentResult:
         """The per-cell resilience matrix as a tidy :class:`SweepResult`."""
         from repro.analysis.sweep import SweepResult
 
-        out = SweepResult(columns=TOURNAMENT_COLUMNS)
-        for record in self.records:
-            out.add(**{c: record[c] for c in TOURNAMENT_COLUMNS})
-        out.timing = self.timing
-        return out
+        return SweepResult.from_records(TOURNAMENT_COLUMNS, self.records, self.timing)
 
 
 def run_tournament(
@@ -240,57 +218,15 @@ def run_tournament(
     under the arena's canonical spec hash, so a rerun of the *same*
     tournament recomputes only unfinished cells.
     """
-    ex = executor if executor is not None else ParallelExecutor.from_env()
     spec_dict = spec.to_dict()
-    payload = {"arena": spec_dict, "cache": _cache_token(cache)}
-    total = spec.num_cells
-    ckpt = make_checkpoint(checkpoint, stable_hash({"arena": spec_dict}), total)
-    loaded: dict[int, Any] = {} if ckpt is None else ckpt.load()
-    pending = [i for i in range(total) if not isinstance(loaded.get(i), dict)]
-    records: list[dict | None] = [loaded[i] if i not in pending else None for i in range(total)]
-    seconds = [0.0] * total
-    wall = 0.0
-    workers = 1
-    retries = 0
-    if pending:
-        on_result: Callable[[int, object], None] | None = None
-        if ckpt is not None:
-            active = ckpt
-
-            def _persist(local_index: int, value: object) -> None:
-                active.record(pending[local_index], value)
-
-            on_result = _persist
-        try:
-            report = ex.map_spec(
-                evaluate_arena_cell,
-                payload,
-                pending,
-                on_result=on_result,
-            )
-        except BaseException:
-            # Keep whatever finished: an interrupted run resumes from here.
-            if ckpt is not None:
-                ckpt.flush()
-            raise
-        for index, value, secs in zip(pending, report.values, report.seconds):
-            records[index] = value
-            seconds[index] = secs
-        wall = report.wall_seconds
-        workers = report.workers
-        retries = report.retries
-    if ckpt is not None:
-        ckpt.complete()
-    final: list[dict] = []
-    for record in records:
-        assert record is not None  # every index is either loaded or pending
-        final.append(record)
-    timing = SweepTiming(
-        wall_seconds=wall,
-        point_seconds=tuple(seconds),
-        workers=workers,
-        packets=spec.packets * total,
-        batch_size=resolve_batch(),
-        retries=retries,
+    records, timing = run_spec_grid(
+        evaluate_arena_cell,
+        {"arena": spec_dict},
+        range(spec.num_cells),
+        key_doc={"arena": spec_dict},
+        packets=spec.packets,
+        executor=executor,
+        cache=cache,
+        checkpoint=checkpoint,
     )
-    return TournamentResult(spec=spec, records=final, timing=timing)
+    return TournamentResult(spec=spec, records=records, timing=timing)

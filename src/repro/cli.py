@@ -47,7 +47,9 @@ Installed as ``repro-bhss`` (see ``pyproject.toml``); also runnable as
     network loader, files with a ``jammers`` map to the arena loader,
     files with a ``traffic`` map to the session loader); ``scenario
     list [dir]`` summarizes a directory (default
-    ``examples/scenarios``).
+    ``examples/scenarios``).  ``run``, ``validate`` and ``list`` share
+    one ``WORKLOADS`` table (loader, runner, printed summaries per kind)
+    and one ``spec_kind`` detector for that routing.
 ``cache``
     Integrity tooling for the ``REPRO_CACHE`` result store:
     ``cache verify [dir]`` audits every entry against its checksum
@@ -67,12 +69,16 @@ paths, unknown names).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.analysis import ThresholdSearch, min_snr_for_per, run_sweep
+from repro.analysis import SweepResult, ThresholdSearch, min_snr_for_per, run_sweep, write_csv
+from repro.arena import ArenaError, ArenaSpec, TournamentResult, run_tournament
 from repro.backend import available_backends, resolve_backend, use_backend
 from repro.core import BHSSConfig, BHSSTransmitter, LinkSimulator, theory
 from repro.hopping import (
@@ -89,6 +95,9 @@ from repro.jamming import (
     SweepJammer,
     ToneJammer,
 )
+from repro.network import NetworkError, NetworkResult, NetworkSpec, run_network
+from repro.protocol import SessionError, SessionSpec, run_session
+from repro.scenario import Scenario, ScenarioError, run_scenario
 from repro.utils import format_table, save_recording
 
 __all__ = ["main", "build_parser"]
@@ -437,8 +446,6 @@ def _profile_backends(args, config, link, batch_report, serial_stats) -> dict:
 
 def cmd_bench(args) -> int:
     """Serial-vs-batched link timing plus the serial-vs-pool sweep check."""
-    import json
-
     from repro.runtime import ParallelExecutor, resolve_workers
 
     config = _build_config(args)
@@ -574,7 +581,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    from repro.analysis import SweepResult
     from repro.analysis.experiments import REGISTRY
 
     if args.list or args.experiment is None:
@@ -597,8 +603,6 @@ def cmd_reproduce(args) -> int:
         print()
         print(format_table(result.columns, result.as_table_rows()))
         if args.output:
-            from repro.analysis import write_csv
-
             suffix = f"_{i}" if len(results) > 1 else ""
             base, ext = [*args.output.rsplit(".", 1), "csv"][:2]
             path = write_csv(result, f"{base}{suffix}.{ext}")
@@ -606,162 +610,207 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
-def _run_network_file(args) -> int:
-    """The ``run --network`` path: one shared-spectrum network file."""
-    from repro.network import NetworkError, NetworkSpec, run_network
+def _scenario_size(s: Scenario) -> str:
+    return f"{len(s.points())} points x {s.packets} packets"
 
-    try:
-        spec = NetworkSpec.load(args.network)
-    except NetworkError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    label = f" — {spec.description}" if spec.description else ""
-    print(
-        f"network {spec.name!r}{label}: "
-        f"{spec.num_links} links x {spec.packets} packets, {spec.num_jammers} jammer(s)"
-    )
-    result = run_network(spec, checkpoint=args.checkpoint)
-    rows = [
-        [
-            r["link"],
-            f"{r['snr_db']:g}",
-            f"{r['sjr_db']:g}",
-            f"{r['per']:.3f}",
-            f"[{r['per_lo']:.2f},{r['per_hi']:.2f}]",
-            f"{r['ber']:.5f}",
-            f"{r['throughput_bps'] / 1e3:.1f}",
-        ]
-        for r in result.records
+
+def _network_size(n: NetworkSpec) -> str:
+    return f"{n.num_links} links x {n.packets} packets, {n.num_jammers} jammer(s)"
+
+
+def _link_cells(r: dict) -> list:
+    """PER, its 95% CI, BER and goodput of one link-level record."""
+    return [
+        f"{r['per']:.3f}",
+        f"[{r['per_lo']:.2f},{r['per_hi']:.2f}]",
+        f"{r['ber']:.5f}",
+        f"{r['throughput_bps'] / 1e3:.1f}",
     ]
-    print(
-        format_table(
-            ["link", "SNR (dB)", "SJR (dB)", "PER", "95% CI", "BER", "goodput (kb/s)"],
-            rows,
-            title=f"network: {spec.name}",
-        )
-    )
+
+
+def _scenario_row(r: dict) -> list:
+    return [f"{r['snr_db']:g}", f"{r['sjr_db']:g}", *_link_cells(r)]
+
+
+def _network_row(r: dict) -> list:
+    return [r["link"], *_scenario_row(r)]
+
+
+def _tournament_row(r: dict) -> list:
+    return [r["jammer"], r["pattern"], f"{r['num_bands']}", f"{r['hop_range']:g}", *_link_cells(r)]
+
+
+def _session_row(r: dict) -> list:
+    return [
+        f"{r['snr_db']:g}",
+        f"{r['sjr_db']:g}",
+        f"{r['delivery_ratio']:.3f}",
+        f"{r['goodput_bps'] / 1e3:.1f}",
+        f"{r['data_per']:.3f}",
+        f"{r['desync_count']:g}",
+        f"{r['resync_count']:g}",
+        f"{r['mean_resync_latency']:.1f}",
+        "yes" if r["degraded"] else "no",
+    ]
+
+
+def _network_summary(spec: NetworkSpec, result: NetworkResult) -> list[str]:
     agg = result.aggregates()
-    print(
+    return [
         f"network throughput {agg['network_throughput_bps'] / 1e3:.1f} kb/s, "
         f"Jain fairness {agg['fairness']:.4f}, mean PER {agg['mean_per']:.3f}"
-    )
-    if result.timing is not None:
-        print(result.timing.summary())
-    if args.output:
-        from repro.analysis import write_csv
-
-        print(f"wrote {write_csv(result.to_sweep_result(), args.output)}")
-    return 0
-
-
-def _run_tournament_file(args) -> int:
-    """The ``run --tournament`` path: one arena (jammer tournament) file."""
-    from repro.arena import ArenaError, ArenaSpec, run_tournament
-
-    try:
-        spec = ArenaSpec.load(args.tournament)
-    except ArenaError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    label = f" — {spec.description}" if spec.description else ""
-    print(
-        f"tournament {spec.name!r}{label}: "
-        f"{len(spec.jammers)} jammers x {len(spec.patterns)} patterns x "
-        f"{len(spec.hop_ranges)} hop ranges = {spec.num_cells} cells "
-        f"x {spec.packets} packets"
-    )
-    result = run_tournament(spec, checkpoint=args.checkpoint)
-    rows = [
-        [
-            r["jammer"],
-            r["pattern"],
-            f"{r['num_bands']}",
-            f"{r['hop_range']:g}",
-            f"{r['per']:.3f}",
-            f"[{r['per_lo']:.2f},{r['per_hi']:.2f}]",
-            f"{r['ber']:.5f}",
-            f"{r['throughput_bps'] / 1e3:.1f}",
-        ]
-        for r in result.records
     ]
-    print(
-        format_table(
-            ["jammer", "pattern", "bands", "hop range", "PER", "95% CI", "BER", "goodput (kb/s)"],
-            rows,
-            title=f"resilience matrix: {spec.name}",
-        )
-    )
-    if spec.baseline_label is not None:
-        advantage = result.jammer_advantage()
-        if advantage:
-            summary = ", ".join(f"{k} {v:+.3f}" for k, v in sorted(advantage.items()))
-            print(f"jammer advantage (PER points vs {spec.baseline_label!r}): {summary}")
-    else:
-        print('(no {"type": "none"} baseline jammer: jammer-advantage summary skipped)')
-    if result.timing is not None:
-        print(result.timing.summary())
-    if args.output:
-        from repro.analysis import write_csv
-
-        print(f"wrote {write_csv(result.to_sweep_result(), args.output)}")
-    return 0
 
 
-def _run_session_file(args) -> int:
-    """The ``run --session`` path: one seed-synchronized session file."""
-    from repro.protocol import SessionError, SessionSpec, run_session
+def _tournament_summary(spec: ArenaSpec, result: TournamentResult) -> list[str]:
+    if spec.baseline_label is None:
+        return ['(no {"type": "none"} baseline jammer: jammer-advantage summary skipped)']
+    advantage = result.jammer_advantage()
+    if not advantage:
+        return []
+    summary = ", ".join(f"{k} {v:+.3f}" for k, v in sorted(advantage.items()))
+    return [f"jammer advantage (PER points vs {spec.baseline_label!r}): {summary}"]
 
+
+def _no_summary(spec: Any, result: Any) -> list[str]:
+    return []
+
+
+@dataclass(frozen=True)
+class Workload:
+    """How ``run``, ``scenario validate`` and ``scenario list`` treat one kind of spec file.
+
+    ``runner(spec, checkpoint=...)`` evaluates a loaded spec; its result
+    table is printed (``columns``/``row``/``title``) and written as CSV,
+    and ``summary`` adds the kind's aggregate lines.  ``size``,
+    ``validated`` and ``listed`` describe a spec in the ``run`` header,
+    the ``validate`` line and the ``list`` table.
+    """
+
+    help: str
+    spec: Any
+    error: type[Exception]
+    runner: Callable[..., Any]
+    size: Callable[[Any], str]
+    title: str
+    columns: tuple[str, ...]
+    row: Callable[[dict], list]
+    validated: Callable[[Any], str]
+    listed: Callable[[Any], tuple[str, str]]
+    summary: Callable[[Any, Any], list[str]] = _no_summary
+
+
+_LINK_COLUMNS = ("SNR (dB)", "SJR (dB)", "PER", "95% CI", "BER", "goodput (kb/s)")
+
+#: spec-file kinds, keyed by their ``run`` flag (in help order)
+WORKLOADS: dict[str, Workload] = {
+    "scenario": Workload(
+        help="scenario JSON file",
+        spec=Scenario,
+        error=ScenarioError,
+        runner=run_scenario,
+        size=_scenario_size,
+        title="scenario",
+        columns=_LINK_COLUMNS,
+        row=_scenario_row,
+        validated=_scenario_size,
+        listed=lambda s: (str(s.jammer.get("type", "?")), f"{len(s.points())}x{s.packets}"),
+    ),
+    "network": Workload(
+        help="N-link network JSON file (see repro.network.NetworkSpec)",
+        spec=NetworkSpec,
+        error=NetworkError,
+        runner=run_network,
+        size=_network_size,
+        title="network",
+        columns=("link", *_LINK_COLUMNS),
+        row=_network_row,
+        validated=_network_size,
+        listed=lambda n: (f"network ({n.num_jammers} jammed)", f"{n.num_links} links x{n.packets}"),
+        summary=_network_summary,
+    ),
+    "tournament": Workload(
+        help="jammer-tournament arena JSON file (see repro.arena.ArenaSpec)",
+        spec=ArenaSpec,
+        error=ArenaError,
+        runner=run_tournament,
+        size=lambda a: (
+            f"{len(a.jammers)} jammers x {len(a.patterns)} patterns x "
+            f"{len(a.hop_ranges)} hop ranges = {a.num_cells} cells x {a.packets} packets"
+        ),
+        title="resilience matrix",
+        columns=("jammer", "pattern", "bands", "hop range", *_LINK_COLUMNS[2:]),
+        row=_tournament_row,
+        validated=lambda a: (
+            f"{a.num_cells} cells x {a.packets} packets, {len(a.jammers)} jammer(s)"
+        ),
+        listed=lambda a: (f"arena ({len(a.jammers)} jammers)", f"{a.num_cells} cells x{a.packets}"),
+        summary=_tournament_summary,
+    ),
+    "session": Workload(
+        help="seed-synchronized session JSON file (see repro.protocol.SessionSpec)",
+        spec=SessionSpec,
+        error=SessionError,
+        runner=run_session,
+        size=lambda s: (
+            f"{len(s.points())} operating points, "
+            f"{s.traffic.num_messages} messages x {s.traffic.message_bytes} bytes "
+            f"({s.num_fragments()} fragments), "
+            f"retry budget {s.resync_retries} x {s.sync_timeout}"
+        ),
+        title="session",
+        columns=(
+            "SNR (dB)", "SJR (dB)", "delivery", "goodput (kb/s)", "data PER",
+            "desyncs", "resyncs", "resync slots", "degraded",
+        ),
+        row=_session_row,
+        validated=lambda s: (
+            f"{len(s.points())} points, "
+            f"{s.traffic.num_messages} messages x {s.traffic.message_bytes} bytes"
+        ),
+        listed=lambda s: (
+            f"session ({s.jammer.get('type', '?')})",
+            f"{len(s.points())} pts x{s.traffic.num_messages} msgs",
+        ),
+    ),
+}
+
+#: every loader's validation error, for commands that read any kind of file
+_SPEC_ERRORS = tuple(w.error for w in WORKLOADS.values())
+
+
+def spec_kind(data: object) -> str:
+    """The :data:`WORKLOADS` kind of a parsed spec file.
+
+    A ``links`` array makes a network, else a ``jammers`` map an arena
+    (tournament), else a ``traffic`` map a session; anything else —
+    including a document that is not a JSON object — is a scenario, whose
+    loader names the problem.
+    """
+    if isinstance(data, dict):
+        for key, kind in (("links", "network"), ("jammers", "tournament"), ("traffic", "session")):
+            if key in data:
+                return kind
+    return "scenario"
+
+
+def _load_spec_file(path: str) -> tuple[Workload, Any]:
+    """The workload and loaded spec of one file (raises the kind's error).
+
+    The file is parsed once; an unreadable or unparsable file goes to the
+    scenario loader, whose error message names the problem.
+    """
     try:
-        spec = SessionSpec.load(args.session)
-    except SessionError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    label = f" — {spec.description}" if spec.description else ""
-    print(
-        f"session {spec.name!r}{label}: "
-        f"{len(spec.points())} operating points, "
-        f"{spec.traffic.num_messages} messages x {spec.traffic.message_bytes} bytes "
-        f"({spec.num_fragments()} fragments), "
-        f"retry budget {spec.resync_retries} x {spec.sync_timeout}"
-    )
-    result = run_session(spec, checkpoint=args.checkpoint)
-    rows = [
-        [
-            f"{r['snr_db']:g}",
-            f"{r['sjr_db']:g}",
-            f"{r['delivery_ratio']:.3f}",
-            f"{r['goodput_bps'] / 1e3:.1f}",
-            f"{r['data_per']:.3f}",
-            f"{r['desync_count']:g}",
-            f"{r['resync_count']:g}",
-            f"{r['mean_resync_latency']:.1f}",
-            "yes" if r["degraded"] else "no",
-        ]
-        for r in result.rows
-    ]
-    print(
-        format_table(
-            [
-                "SNR (dB)", "SJR (dB)", "delivery", "goodput (kb/s)", "data PER",
-                "desyncs", "resyncs", "resync slots", "degraded",
-            ],
-            rows,
-            title=f"session: {spec.name}",
-        )
-    )
-    if result.timing is not None:
-        print(result.timing.summary())
-    if args.output:
-        from repro.analysis import write_csv
-
-        print(f"wrote {write_csv(result, args.output)}")
-    return 0
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError):
+        return WORKLOADS["scenario"], Scenario.load(path)
+    workload = WORKLOADS[spec_kind(data)]
+    return workload, workload.spec.from_dict(data, source=path)
 
 
 def cmd_run(args) -> int:
-    from repro.scenario import Scenario, ScenarioError, run_scenario
-
-    given = [n for n in ("scenario", "network", "tournament", "session") if getattr(args, n)]
+    given = [kind for kind in WORKLOADS if getattr(args, kind)]
     if len(given) != 1:
         print(
             "run: exactly one of --scenario, --network, --tournament or --session "
@@ -769,47 +818,25 @@ def cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.session:
-        return _run_session_file(args)
-    if args.tournament:
-        return _run_tournament_file(args)
-    if args.network:
-        return _run_network_file(args)
+    kind = given[0]
+    workload = WORKLOADS[kind]
     try:
-        scenario = Scenario.load(args.scenario)
-    except ScenarioError as exc:
+        spec = workload.spec.load(getattr(args, kind))
+    except workload.error as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    label = f" — {scenario.description}" if scenario.description else ""
-    print(
-        f"scenario {scenario.name!r}{label}: "
-        f"{len(scenario.points())} points x {scenario.packets} packets"
-    )
-    result = run_scenario(scenario, checkpoint=args.checkpoint)
-    rows = [
-        [
-            f"{r['snr_db']:g}",
-            f"{r['sjr_db']:g}",
-            f"{r['per']:.3f}",
-            f"[{r['per_lo']:.2f},{r['per_hi']:.2f}]",
-            f"{r['ber']:.5f}",
-            f"{r['throughput_bps'] / 1e3:.1f}",
-        ]
-        for r in result.rows
-    ]
-    print(
-        format_table(
-            ["SNR (dB)", "SJR (dB)", "PER", "95% CI", "BER", "goodput (kb/s)"],
-            rows,
-            title=f"scenario: {scenario.name}",
-        )
-    )
-    if result.timing is not None:
-        print(result.timing.summary())
+    label = f" — {spec.description}" if spec.description else ""
+    print(f"{kind} {spec.name!r}{label}: {workload.size(spec)}")
+    result = workload.runner(spec, checkpoint=args.checkpoint)
+    table = result if isinstance(result, SweepResult) else result.to_sweep_result()
+    rows = [workload.row(r) for r in table.rows]
+    print(format_table(list(workload.columns), rows, title=f"{workload.title}: {spec.name}"))
+    for line in workload.summary(spec, result):
+        print(line)
+    if table.timing is not None:
+        print(table.timing.summary())
     if args.output:
-        from repro.analysis import write_csv
-
-        print(f"wrote {write_csv(result, args.output)}")
+        print(f"wrote {write_csv(table, args.output)}")
     return 0
 
 
@@ -830,65 +857,7 @@ def _scenario_files(paths: list[str]) -> list[str]:
     return files
 
 
-def _is_network_file(path: str) -> bool:
-    """Whether a spec file is a network spec (has a ``links`` array).
-
-    Unreadable/unparsable files return ``False`` so they fall through to
-    the scenario loader, whose error messages name the problem.
-    """
-    import json
-
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return False
-    return isinstance(data, dict) and "links" in data
-
-
-def _is_arena_file(path: str) -> bool:
-    """Whether a spec file is a tournament arena (has a ``jammers`` map).
-
-    Same fall-through contract as :func:`_is_network_file`: unreadable or
-    unparsable files return ``False`` and land in the scenario loader.
-    """
-    import json
-
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return False
-    return isinstance(data, dict) and "jammers" in data and "links" not in data
-
-
-def _is_session_file(path: str) -> bool:
-    """Whether a spec file is a protocol session (has a ``traffic`` map).
-
-    Same fall-through contract as :func:`_is_network_file`: unreadable or
-    unparsable files return ``False`` and land in the scenario loader.
-    """
-    import json
-
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return False
-    return (
-        isinstance(data, dict)
-        and "traffic" in data
-        and "links" not in data
-        and "jammers" not in data
-    )
-
-
 def cmd_scenario_validate(args) -> int:
-    from repro.arena import ArenaError, ArenaSpec
-    from repro.network import NetworkError, NetworkSpec
-    from repro.protocol import SessionError, SessionSpec
-    from repro.scenario import Scenario, ScenarioError
-
     files = _scenario_files(args.paths)
     if not files:
         print("no scenario files found", file=sys.stderr)
@@ -896,114 +865,30 @@ def cmd_scenario_validate(args) -> int:
     failures = 0
     for path in files:
         try:
-            if _is_session_file(path):
-                session = SessionSpec.load(path)
-                print(
-                    f"ok    {path}: {session.name} "
-                    f"({len(session.points())} points, "
-                    f"{session.traffic.num_messages} messages x "
-                    f"{session.traffic.message_bytes} bytes)"
-                )
-            elif _is_arena_file(path):
-                arena = ArenaSpec.load(path)
-                print(
-                    f"ok    {path}: {arena.name} "
-                    f"({arena.num_cells} cells x {arena.packets} packets, "
-                    f"{len(arena.jammers)} jammer(s))"
-                )
-            elif _is_network_file(path):
-                network = NetworkSpec.load(path)
-                print(
-                    f"ok    {path}: {network.name} "
-                    f"({network.num_links} links x {network.packets} packets, "
-                    f"{network.num_jammers} jammer(s))"
-                )
-            else:
-                scenario = Scenario.load(path)
-                print(
-                    f"ok    {path}: {scenario.name} "
-                    f"({len(scenario.points())} points x {scenario.packets} packets)"
-                )
-        except (ArenaError, NetworkError, SessionError, ScenarioError) as exc:
+            workload, spec = _load_spec_file(path)
+        except _SPEC_ERRORS as exc:
             failures += 1
             print(f"FAIL  {exc}")
+            continue
+        print(f"ok    {path}: {spec.name} ({workload.validated(spec)})")
     print(f"{len(files) - failures}/{len(files)} scenario files valid")
     return 1 if failures else 0
 
 
 def cmd_scenario_list(args) -> int:
-    from repro.arena import ArenaError, ArenaSpec
-    from repro.network import NetworkError, NetworkSpec
-    from repro.protocol import SessionError, SessionSpec
-    from repro.scenario import Scenario, ScenarioError
-
     files = _scenario_files([args.directory])
     if not files:
         print(f"no scenario files in {args.directory!r}", file=sys.stderr)
         return 2
     rows = []
     for path in files:
-        if _is_session_file(path):
-            try:
-                sess = SessionSpec.load(path)
-            except SessionError:
-                rows.append([os.path.basename(path), "(invalid)", "-", "-", "-"])
-                continue
-            rows.append(
-                [
-                    os.path.basename(path),
-                    sess.name,
-                    f"session ({sess.jammer.get('type', '?')})",
-                    f"{len(sess.points())} pts x{sess.traffic.num_messages} msgs",
-                    sess.description[:48],
-                ]
-            )
-            continue
-        if _is_arena_file(path):
-            try:
-                a = ArenaSpec.load(path)
-            except ArenaError:
-                rows.append([os.path.basename(path), "(invalid)", "-", "-", "-"])
-                continue
-            rows.append(
-                [
-                    os.path.basename(path),
-                    a.name,
-                    f"arena ({len(a.jammers)} jammers)",
-                    f"{a.num_cells} cells x{a.packets}",
-                    a.description[:48],
-                ]
-            )
-            continue
-        if _is_network_file(path):
-            try:
-                n = NetworkSpec.load(path)
-            except NetworkError:
-                rows.append([os.path.basename(path), "(invalid)", "-", "-", "-"])
-                continue
-            rows.append(
-                [
-                    os.path.basename(path),
-                    n.name,
-                    f"network ({n.num_jammers} jammed)",
-                    f"{n.num_links} links x{n.packets}",
-                    n.description[:48],
-                ]
-            )
-            continue
         try:
-            s = Scenario.load(path)
-        except ScenarioError:
+            workload, spec = _load_spec_file(path)
+        except _SPEC_ERRORS:
             rows.append([os.path.basename(path), "(invalid)", "-", "-", "-"])
             continue
         rows.append(
-            [
-                os.path.basename(path),
-                s.name,
-                str(s.jammer.get("type", "?")),
-                f"{len(s.points())}x{s.packets}",
-                s.description[:48],
-            ]
+            [os.path.basename(path), spec.name, *workload.listed(spec), spec.description[:48]]
         )
     print(
         format_table(
@@ -1195,19 +1080,8 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="execute a declarative scenario, network, tournament, or session JSON file",
     )
-    p_run.add_argument("--scenario", default=None, metavar="FILE", help="scenario JSON file")
-    p_run.add_argument(
-        "--network", default=None, metavar="FILE",
-        help="N-link network JSON file (see repro.network.NetworkSpec)",
-    )
-    p_run.add_argument(
-        "--tournament", default=None, metavar="FILE",
-        help="jammer-tournament arena JSON file (see repro.arena.ArenaSpec)",
-    )
-    p_run.add_argument(
-        "--session", default=None, metavar="FILE",
-        help="seed-synchronized session JSON file (see repro.protocol.SessionSpec)",
-    )
+    for kind, workload in WORKLOADS.items():
+        p_run.add_argument(f"--{kind}", default=None, metavar="FILE", help=workload.help)
     p_run.add_argument("--output", "-o", default=None, help="also write the result CSV here")
     p_run.add_argument(
         "--checkpoint", default=None, metavar="DIR",

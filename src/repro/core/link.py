@@ -27,7 +27,7 @@ from repro.core.paths import PacketOutcome, RxPath, TxPath, draw_jammer_wave
 from repro.core.receiver import BHSSReceiver, ReceiveResult
 from repro.core.transmitter import BHSSTransmitter, TransmittedPacket
 from repro.jamming.base import Jammer
-from repro.runtime import ParallelExecutor, ResultCache, canonical, resolve_batch
+from repro.runtime import ParallelExecutor, ResultCache, canonical, resolve_batch, resolve_cache
 from repro.utils.rng import child_rng, make_rng
 
 __all__ = ["LinkSimulator", "PacketOutcome", "LinkStats"]
@@ -240,7 +240,7 @@ class LinkSimulator:
         payload: bytes | None = None,
         jammer_delay_samples: int = 0,
         executor: ParallelExecutor | None = None,
-        cache: "ResultCache | bool | None" = None,
+        cache: "ResultCache | str | bool | None" = None,
     ) -> LinkStats:
         """Simulate a batch of packets and aggregate the statistics.
 
@@ -257,17 +257,13 @@ class LinkSimulator:
         memoryless-jammer batches are memoized under a stable hash of
         (config fingerprint, operating point, seed, packet budget).
         ``cache=False`` forces caching off regardless of the environment
-        (used by timing benchmarks).
+        (used by timing benchmarks); ``True`` or a directory path selects
+        that store (:func:`~repro.runtime.cache.resolve_cache`).
         """
         if num_packets < 1:
             raise ValueError(f"num_packets must be >= 1, got {num_packets}")
         ex = executor if executor is not None else ParallelExecutor.from_env()
-        if cache is None:
-            store = ResultCache.from_env()
-        elif cache is False:
-            store = None
-        else:
-            store = cache
+        store = resolve_cache(cache)
         order_free = jammer is None or not jammer.is_stateful
 
         key = None
@@ -366,7 +362,7 @@ class LinkSimulator:
         payload: bytes | None = None,
         jammer_delay_samples: int = 0,
         batch_size: int | None = None,
-        cache: "ResultCache | bool | None" = None,
+        cache: "ResultCache | str | bool | None" = None,
     ) -> LinkStats:
         """Vectorized :meth:`run_packets`: stack packets, same statistics.
 
@@ -405,12 +401,7 @@ class LinkSimulator:
         if batch <= 1 or (self.impairments is not None and not self.impairments.is_ideal):
             return self.run_packets(num_packets, cache=cache, **common)
 
-        if cache is None:
-            store = ResultCache.from_env()
-        elif cache is False:
-            store = None
-        else:
-            store = cache
+        store = resolve_cache(cache)
         order_free = jammer is None or not jammer.is_stateful
         key = None
         if store is not None and order_free:

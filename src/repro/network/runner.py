@@ -12,7 +12,7 @@ checkpoint incrementally so an interrupted run resumes bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.link import LinkStats
 from repro.network.metrics import jain_fairness
@@ -21,9 +21,8 @@ from repro.runtime import (
     ParallelExecutor,
     ResultCache,
     SweepTiming,
-    make_checkpoint,
-    resolve_batch,
-    stable_hash,
+    resolve_cache,
+    run_spec_grid,
 )
 
 if TYPE_CHECKING:
@@ -43,15 +42,6 @@ NETWORK_COLUMNS = ("link", "snr_db", "sjr_db", "per", "per_lo", "per_hi", "ber",
 
 #: column order of the fairness-vs-jammer-count sweep.
 JAMMER_SWEEP_COLUMNS = ("num_jammers", "network_throughput_bps", "fairness", "mean_per")
-
-
-def _cache_token(cache: "ResultCache | str | bool | None") -> "str | bool | None":
-    """Flatten a cache argument to picklable data for the spec payload."""
-    if cache is None or cache is False:
-        return cache
-    if isinstance(cache, ResultCache):
-        return cache.root
-    return str(cache)
 
 
 def _stats_record(name: str, link_snr_db: float, link_sjr_db: float, stats: LinkStats) -> dict:
@@ -93,15 +83,7 @@ def evaluate_network_link(payload: dict, index: int) -> dict:
     from repro.network.simulator import NetworkSimulator
 
     spec = NetworkSpec.from_dict(payload["network"])
-    token = payload.get("cache")
-    if token is None:
-        store = ResultCache.from_env()
-    elif token is False:
-        store = None
-    elif isinstance(token, str):
-        store = ResultCache(token)
-    else:
-        store = token
+    store = resolve_cache(payload.get("cache"))
     index = int(index)
     key = None
     if store is not None:
@@ -172,11 +154,7 @@ class NetworkResult:
         """The per-link table as a tidy :class:`SweepResult`."""
         from repro.analysis.sweep import SweepResult
 
-        out = SweepResult(columns=NETWORK_COLUMNS)
-        for record in self.records:
-            out.add(**{c: record[c] for c in NETWORK_COLUMNS})
-        out.timing = self.timing
-        return out
+        return SweepResult.from_records(NETWORK_COLUMNS, self.records, self.timing)
 
 
 def run_network(
@@ -197,60 +175,18 @@ def run_network(
     under the network's canonical spec hash, so a rerun of the *same*
     network recomputes only unfinished links.
     """
-    ex = executor if executor is not None else ParallelExecutor.from_env()
     spec_dict = spec.to_dict()
-    payload = {"network": spec_dict, "cache": _cache_token(cache)}
-    total = spec.num_links
-    ckpt = make_checkpoint(checkpoint, stable_hash({"network": spec_dict}), total)
-    loaded: dict[int, Any] = {} if ckpt is None else ckpt.load()
-    pending = [i for i in range(total) if not isinstance(loaded.get(i), dict)]
-    records: list[dict | None] = [loaded[i] if i not in pending else None for i in range(total)]
-    seconds = [0.0] * total
-    wall = 0.0
-    workers = 1
-    retries = 0
-    if pending:
-        on_result: Callable[[int, object], None] | None = None
-        if ckpt is not None:
-            active = ckpt
-
-            def _persist(local_index: int, value: object) -> None:
-                active.record(pending[local_index], value)
-
-            on_result = _persist
-        try:
-            report = ex.map_spec(
-                evaluate_network_link,
-                payload,
-                pending,
-                on_result=on_result,
-            )
-        except BaseException:
-            # Keep whatever finished: an interrupted run resumes from here.
-            if ckpt is not None:
-                ckpt.flush()
-            raise
-        for index, value, secs in zip(pending, report.values, report.seconds):
-            records[index] = value
-            seconds[index] = secs
-        wall = report.wall_seconds
-        workers = report.workers
-        retries = report.retries
-    if ckpt is not None:
-        ckpt.complete()
-    final: list[dict] = []
-    for record in records:
-        assert record is not None  # every index is either loaded or pending
-        final.append(record)
-    timing = SweepTiming(
-        wall_seconds=wall,
-        point_seconds=tuple(seconds),
-        workers=workers,
-        packets=spec.packets * total,
-        batch_size=resolve_batch(),
-        retries=retries,
+    records, timing = run_spec_grid(
+        evaluate_network_link,
+        {"network": spec_dict},
+        range(spec.num_links),
+        key_doc={"network": spec_dict},
+        packets=spec.packets,
+        executor=executor,
+        cache=cache,
+        checkpoint=checkpoint,
     )
-    return NetworkResult(spec=spec, records=final, timing=timing)
+    return NetworkResult(spec=spec, records=records, timing=timing)
 
 
 def jammer_count_sweep(

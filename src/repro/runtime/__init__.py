@@ -24,6 +24,11 @@ This package provides the pieces the analysis layer threads through:
     Periodic atomic JSON checkpoints of completed grid points, keyed by
     the sweep's canonical spec hash (``REPRO_CHECKPOINT``), enabling
     bit-identical resume of interrupted sweeps.
+``run_grid`` / ``run_spec_grid``
+    The one grid driver every sweep, scenario, session, network and
+    arena run goes through: checkpoint resume of pending items,
+    incremental persistence, flush-on-interrupt, completion cleanup and
+    ``SweepTiming`` assembly.
 ``FaultPlan``
     Deterministic fault injection (``REPRO_FAULTS``) used by the chaos
     tests to prove every recovery path above.
@@ -38,7 +43,7 @@ This package provides the pieces the analysis layer threads through:
     ``repro-bhss bench --profile`` as the per-backend stage breakdown.
 """
 
-from repro.runtime.cache import CacheAudit, ResultCache, canonical, stable_hash
+from repro.runtime.cache import CacheAudit, ResultCache, canonical, resolve_cache, stable_hash
 from repro.runtime.checkpoint import SweepCheckpoint, make_checkpoint, resolve_checkpoint_dir
 from repro.runtime.errors import TaskError, TaskFailure, TaskTimeout, WorkerCrash
 from repro.runtime.executor import (
@@ -51,6 +56,7 @@ from repro.runtime.executor import (
     spec_runner_ref,
 )
 from repro.runtime.faults import FaultPlan, InjectedCrash, inject_faults
+from repro.runtime.grid import run_grid, run_spec_grid
 from repro.runtime.instrument import StageProfiler, StageRecord, SweepTiming
 
 __all__ = [
@@ -61,10 +67,13 @@ __all__ = [
     "ResultCache",
     "CacheAudit",
     "canonical",
+    "resolve_cache",
     "stable_hash",
     "SweepCheckpoint",
     "make_checkpoint",
     "resolve_checkpoint_dir",
+    "run_grid",
+    "run_spec_grid",
     "SweepTiming",
     "TaskFailure",
     "TaskTimeout",

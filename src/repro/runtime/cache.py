@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.runtime.faults import FaultPlan
 
-__all__ = ["ResultCache", "CacheAudit", "canonical", "stable_hash"]
+__all__ = ["ResultCache", "CacheAudit", "canonical", "resolve_cache", "stable_hash"]
 
 _DEFAULT_ROOT = os.path.join("~", ".cache", "repro-bhss")
 _OFF_VALUES = {"", "0", "off", "no", "false"}
@@ -376,3 +376,22 @@ class ResultCache:
                     os.unlink(os.path.join(dirpath, name))
                     removed += 1
         return removed
+
+
+def resolve_cache(cache: "ResultCache | str | bool | None" = None) -> "ResultCache | None":
+    """Normalize a ``cache`` argument to a store, or ``None`` (disabled).
+
+    ``None`` defers to ``REPRO_CACHE``; ``False`` forces caching off;
+    ``True`` selects the default directory (as ``REPRO_CACHE=1`` does); a
+    string is the cache directory; a ready :class:`ResultCache` passes
+    through unchanged.
+    """
+    if cache is None:
+        return ResultCache.from_env()
+    if cache is False:
+        return None
+    if cache is True:
+        return ResultCache(_DEFAULT_ROOT)
+    if isinstance(cache, ResultCache):
+        return cache
+    return ResultCache(str(cache))

@@ -26,16 +26,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.channel.registry import channel_from_spec, impairments_from_spec
 from repro.core.config import BHSSConfig
 from repro.jamming.base import Jammer
 from repro.jamming.registry import jammer_from_spec
-
-if TYPE_CHECKING:
-    from repro.analysis.sweep import SweepResult
-    from repro.runtime import ParallelExecutor, ResultCache
 
 __all__ = ["Scenario", "ScenarioError"]
 
@@ -153,16 +149,6 @@ class Scenario:
     def points(self) -> list[tuple[float, float]]:
         """The (snr_db, sjr_db) grid points, SNR-major order."""
         return [(snr, sjr) for snr in self.snr_db for sjr in self.sjr_db]
-
-    def run(
-        self,
-        executor: "ParallelExecutor | None" = None,
-        cache: "ResultCache | str | bool | None" = None,
-    ) -> "SweepResult":
-        """Evaluate the grid; see :func:`repro.scenario.runner.run_scenario`."""
-        from repro.scenario.runner import run_scenario
-
-        return run_scenario(self, executor=executor, cache=cache)
 
     def with_overrides(self, **changes: Any) -> "Scenario":
         """A copy with dataclass fields replaced (validation re-runs)."""

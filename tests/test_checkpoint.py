@@ -225,11 +225,6 @@ class TestRunSweepResume:
         )
         assert result.column("x") == [1.0, 1.0]
 
-    def test_scenario_rejects_checkpoint_key(self):
-        scenario = Scenario.load(SCENARIO)
-        with pytest.raises(ValueError, match="checkpoint key"):
-            run_sweep(scenario, checkpoint_key="nope")
-
 
 class TestScenarioResume:
     def test_preseeded_checkpoint_skips_completed_points(self, tmp_path):

@@ -118,6 +118,28 @@ class TestScenarioValidateExitCodes:
         assert main(["scenario", "validate", str(tmp_path)]) == 1
 
 
+class TestSpecRouting:
+    @pytest.mark.parametrize(
+        ("keys", "kind"),
+        [
+            ((), "scenario"),
+            (("traffic",), "session"),
+            (("jammers", "traffic"), "tournament"),
+            (("links", "jammers", "traffic"), "network"),
+        ],
+    )
+    def test_spec_kind_precedence(self, keys, kind):
+        from repro.cli import WORKLOADS, spec_kind
+
+        assert spec_kind(dict.fromkeys(keys)) == kind
+        assert kind in WORKLOADS
+
+    def test_non_object_documents_are_scenarios(self):
+        from repro.cli import spec_kind
+
+        assert spec_kind([1, 2]) == spec_kind(None) == "scenario"
+
+
 class TestScenarioRunExitCodes:
     def test_bad_scenario_file_exits_two(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "missing.json")]) == 2

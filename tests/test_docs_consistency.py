@@ -173,33 +173,18 @@ class TestExampleScenarios:
         assert self.scenario_files()
 
     def test_every_example_scenario_validates(self):
-        from repro.arena import ArenaSpec
-        from repro.network import NetworkSpec
-        from repro.protocol import SessionSpec
-        from repro.scenario import Scenario
+        from repro.cli import WORKLOADS, spec_kind
 
+        kinds = set()
         for path in self.scenario_files():
             with open(path) as fh:
-                data = json.load(fh)
-            if "traffic" in data and "links" not in data and "jammers" not in data:
-                session = SessionSpec.load(path)  # raises SessionError on any bad field
-                assert session.points(), path
-                assert SessionSpec.from_dict(session.to_dict()).to_dict() == session.to_dict()
-                continue
-            if "links" in data:
-                network = NetworkSpec.load(path)  # raises NetworkError on any bad field
-                assert network.num_links, path
-                assert NetworkSpec.from_dict(network.to_dict()).to_dict() == network.to_dict()
-                continue
-            if "jammers" in data:
-                arena = ArenaSpec.load(path)  # raises ArenaError on any bad field
-                assert arena.num_cells, path
-                assert ArenaSpec.from_dict(arena.to_dict()).to_dict() == arena.to_dict()
-                continue
-            scenario = Scenario.load(path)  # raises ScenarioError on any bad field
-            assert scenario.points(), path
+                kind = spec_kind(json.load(fh))
+            spec_cls = WORKLOADS[kind].spec
+            spec = spec_cls.load(path)  # raises the kind's error on any bad field
             # loading must be lossless modulo config-default expansion
-            assert Scenario.from_dict(scenario.to_dict()).to_dict() == scenario.to_dict()
+            assert spec_cls.from_dict(spec.to_dict()).to_dict() == spec.to_dict(), path
+            kinds.add(kind)
+        assert kinds == set(WORKLOADS)  # every workload ships an example
 
     def test_readme_scenario_quickstart_paths_exist(self):
         text = read("README.md")

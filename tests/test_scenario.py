@@ -284,15 +284,6 @@ class TestRunScenario:
         if ParallelExecutor.fork_available():
             assert parallel.timing.workers == 2
 
-    def test_run_sweep_dispatches_scenarios(self):
-        from repro.analysis.sweep import run_sweep
-
-        direct = run_scenario(_scenario(), cache=False)
-        via_sweep = run_sweep(_scenario(), cache=False)
-        assert via_sweep.rows == direct.rows
-        with pytest.raises(ValueError, match="its own grid"):
-            run_sweep(_scenario(), [1.0], lambda x: {})
-
     def test_cache_hits_on_identical_scenario_json(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE", raising=False)
         root = str(tmp_path / "cache")
