@@ -12,10 +12,8 @@ top of ``numpy.fft`` (the simulation filters millions of samples per packet
 sweep, so direct convolution is not an option).
 
 The batch entry points (:func:`apply_fir_batch`, :func:`fft_convolve_batch`)
-validate and coerce their arguments here, then dispatch the numerics to the
-active :mod:`repro.backend` — the NumPy reference backend runs the
-``_*_reference`` bodies below (bit-identical to the serial twins), while
-accelerated backends may substitute their own tolerance-checked kernels.
+filter a ``(R, N)`` stack in one pass; every row is bit-identical to the
+serial call on that row.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import math
 
 import numpy as np
 
-from repro.backend import dispatch
 from repro.dsp.windows import WindowSpec, get_window
 from repro.utils.validation import as_complex_array, ensure_positive
 
@@ -224,7 +221,8 @@ def fft_convolve_batch(
             else x.astype(np.float64, copy=False)
         )
         return empty.copy()
-    nfft = _next_fast_len(n + h.shape[-1] - 1)
+    n_out = n + h.shape[-1] - 1
+    nfft = _next_fast_len(n_out)
     if taps_fft is not None:
         tf = np.asarray(taps_fft)
         if tf.ndim not in (1, 2):
@@ -239,17 +237,7 @@ def fft_convolve_batch(
                 f"convolution FFT length {nfft}"
             )
         taps_fft = tf
-    out: np.ndarray = dispatch("fft_convolve", "fft_convolve_batch", x, h, taps_fft)
-    return out
-
-
-def _fft_convolve_batch_reference(
-    x: np.ndarray, h: np.ndarray, taps_fft: np.ndarray | None
-) -> np.ndarray:
-    """The NumPy oracle kernel of :func:`fft_convolve_batch` (validated inputs)."""
-    n_out = x.shape[1] + h.shape[-1] - 1
-    nfft = _next_fast_len(n_out)
-    if taps_fft is None:
+    else:
         taps_fft = np.fft.fft(h, nfft, axis=-1)
     spec = np.fft.fft(x, nfft, axis=-1) * taps_fft
     out = np.fft.ifft(spec, axis=-1)[:, :n_out]
@@ -291,15 +279,6 @@ def apply_fir_batch(
         return x.copy()
     if mode not in ("compensated", "same", "full"):
         raise ValueError(f"unknown mode {mode!r}; expected 'compensated', 'same', or 'full'")
-    out: np.ndarray = dispatch("apply_fir", "apply_fir_batch", x, h, mode, block_size)
-    return out
-
-
-def _apply_fir_batch_reference(
-    x: np.ndarray, h: np.ndarray, mode: str, block_size: int | None
-) -> np.ndarray:
-    """The NumPy oracle kernel of :func:`apply_fir_batch` (validated inputs)."""
-    rows, n = x.shape
     k = h.shape[-1]
     if block_size is None:
         block_size = _default_block_size(n, k)
@@ -330,13 +309,9 @@ def _apply_fir_batch_reference(
 
     if mode == "full":
         return out
-    if mode == "same":
-        start = (k - 1) // 2
-        return out[:, start : start + n]
-    if mode == "compensated":
-        delay = (k - 1) // 2
-        return out[:, delay : delay + n]
-    raise ValueError(f"unknown mode {mode!r}; expected 'compensated', 'same', or 'full'")
+    # "same" and "compensated" cut the same window: the (k-1)//2 group delay.
+    delay = (k - 1) // 2
+    return out[:, delay : delay + n]
 
 
 def apply_fir(signal: np.ndarray, taps: np.ndarray, mode: str = "compensated", block_size: int | None = None) -> np.ndarray:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import dispatch
 from repro.dsp.windows import WindowSpec, get_window
 from repro.utils.validation import as_complex_array, ensure_positive
 
@@ -82,6 +81,8 @@ def _segment_psd_average(
         # overlap with it so the validation below still holds).
         noverlap = int(noverlap * x.size / nperseg)
         nperseg = x.size
+        if nperseg < 2:
+            raise ValueError(f"PSD needs at least 2 samples, got {x.size}")
     noverlap = int(noverlap)
     if not 0 <= noverlap < nperseg:
         raise ValueError(f"noverlap must be in [0, nperseg), got {noverlap}")
@@ -128,21 +129,6 @@ def welch_psd_batch(
     if not np.iscomplexobj(x):
         x = x.astype(float)
     x = x.astype(np.complex128, copy=False)
-    out: tuple[np.ndarray, np.ndarray] = dispatch(
-        "welch_psd", "welch_psd_batch", x, sample_rate, nperseg, noverlap, window, nfft
-    )
-    return out
-
-
-def _welch_psd_batch_reference(
-    x: np.ndarray,
-    sample_rate: float,
-    nperseg: int,
-    noverlap: int | None,
-    window: WindowSpec,
-    nfft: int | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The NumPy oracle kernel of :func:`welch_psd_batch` (coerced input)."""
     ensure_positive(sample_rate, "sample_rate")
     if noverlap is None:
         noverlap = int(nperseg) // 2
@@ -153,6 +139,8 @@ def _welch_psd_batch_reference(
     if n < nperseg:
         noverlap = int(noverlap * n / nperseg)
         nperseg = n
+        if nperseg < 2:
+            raise ValueError(f"PSD needs at least 2 samples per row, got {n}")
     noverlap = int(noverlap)
     if not 0 <= noverlap < nperseg:
         raise ValueError(f"noverlap must be in [0, nperseg), got {noverlap}")

@@ -35,7 +35,6 @@ def evaluate_scenario_point(payload: dict, point: tuple) -> dict:
     | <root path>}`` — and the link and jammer are rebuilt from it, so the
     call is a pure function of its arguments with no fork-inherited state.
     """
-    from repro.backend import use_backend
     from repro.scenario.spec import Scenario
 
     scenario = Scenario.from_dict(payload["scenario"])
@@ -44,17 +43,14 @@ def evaluate_scenario_point(payload: dict, point: tuple) -> dict:
     # The vectorized path is bit-identical to the serial one per seed, so
     # scenarios always go through it; REPRO_BATCH=0 selects serial, and
     # run_packets_batched itself falls back for phase-tracking links.
-    # The scenario's pinned backend (if any) rides in the spec payload, so
-    # pool workers apply the same selection as a serial run would.
-    with use_backend(scenario.backend):
-        stats = link.run_packets_batched(
-            scenario.packets,
-            snr_db=float(snr_db),
-            sjr_db=float(sjr_db),
-            jammer=jammer,
-            seed=scenario.seed,
-            cache=payload.get("cache"),
-        )
+    stats = link.run_packets_batched(
+        scenario.packets,
+        snr_db=float(snr_db),
+        sjr_db=float(sjr_db),
+        jammer=jammer,
+        seed=scenario.seed,
+        cache=payload.get("cache"),
+    )
     per_lo, per_hi = stats.per_confidence_interval()
     return {
         "snr_db": float(snr_db),

@@ -76,12 +76,6 @@ class Scenario:
     impairments:
         Optional front-end impairment spec
         (:meth:`~repro.channel.impairments.Impairments.to_dict` layout).
-    backend:
-        Optional DSP compute backend name (see :mod:`repro.backend`).
-        ``None`` (default) keeps whatever ``REPRO_BACKEND``/``--backend``
-        selected; a name pins this scenario's numerics to that backend —
-        pool workers rebuild the scenario from this spec, so the choice
-        reaches them too.
     description:
         Free-text note carried through the JSON file.
     """
@@ -95,7 +89,6 @@ class Scenario:
     seed: int = 0
     channel: dict | None = None
     impairments: dict | None = None
-    backend: str | None = None
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -111,14 +104,6 @@ class Scenario:
             raise ScenarioError("packets: must be an integer >= 1")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ScenarioError("seed: must be an integer")
-        if self.backend is not None:
-            from repro.backend import available_backends
-
-            if not isinstance(self.backend, str) or self.backend not in available_backends():
-                raise ScenarioError(
-                    f"backend: unknown backend {self.backend!r}; expected one of "
-                    f"{sorted(available_backends())}"
-                )
 
     # -- construction ---------------------------------------------------------
 
@@ -172,8 +157,6 @@ class Scenario:
             out["channel"] = self.channel
         if self.impairments is not None:
             out["impairments"] = self.impairments
-        if self.backend is not None:
-            out["backend"] = self.backend
         return out
 
     @classmethod
@@ -195,6 +178,12 @@ class Scenario:
             unknown = set(data) - known
             if unknown:
                 raise ScenarioError(f"unknown scenario field(s): {sorted(unknown)}")
+            # Older spec files may pin the (only) NumPy compute path; the
+            # key is accepted and dropped so to_dict never emits it.
+            if data.get("backend", "numpy") != "numpy":
+                raise ScenarioError(
+                    f"backend: only 'numpy' is supported, got {data['backend']!r}"
+                )
             if "name" not in data:
                 raise ScenarioError("name: field is required")
             grid = data.get("grid", {})
@@ -216,7 +205,6 @@ class Scenario:
                 "jammer": data.get("jammer", {"type": "none"}),
                 "channel": data.get("channel"),
                 "impairments": data.get("impairments"),
-                "backend": data.get("backend"),
                 "description": description,
             }
             if "snr_db" in grid:

@@ -1,67 +1,37 @@
-"""The multi-backend conformance gate.
+"""Row-for-row conformance of the six batch DSP wrappers.
 
-Every backend registered in ``repro.backend.BACKEND_FACTORIES`` must
-reproduce the serial DSP primitives: the NumPy reference backend
-*bit-for-bit* (it is the oracle the batch/serial equivalence wall rests
-on), accelerated backends to tight floating-point tolerance against that
-oracle.  The gate runs the same assertions for every backend name, so
-registering a new backend automatically subjects it to the full surface:
-FIR application, fast convolution, Welch PSD, chip modulation and DSSS
-spread/despread — shared and per-row taps, real and complex dtypes.
-
-Numba-specific assertions degrade gracefully when numba is not
-installed: the ``numba`` backend then runs its NumPy fallback (which
-must still match the oracle), and jit-only tests are skipped.
+Every row of ``apply_fir_batch``, ``fft_convolve_batch``,
+``welch_psd_batch``, ``ChipModulator.modulate_batch`` and
+``SixteenAryDSSS.spread_batch``/``despread_batch`` must equal, bit for
+bit, the serial call on that row: shared and per-row taps, real and
+complex dtypes.  The batch/serial equivalence wall rests on this.
 """
 
 import numpy as np
 import pytest
 
-from repro.backend import (
-    BACKEND_FACTORIES,
-    DEFAULT_BACKEND,
-    active_backend,
-    active_profiler,
-    available_backends,
-    backend_info,
-    make_backend,
-    profile_stages,
-    resolve_backend,
-    use_backend,
-)
-from repro.backend.base import DSPBackend
-from repro.backend.numba_accel import JIT_FIR_MAX_TAPS, NumbaBackend, numba_available
-from repro.backend.numpy_ref import NumpyBackend
 from repro.dsp.fir import apply_fir, apply_fir_batch, convolve_nfft, fft_convolve, fft_convolve_batch
 from repro.dsp.spectral import welch_psd, welch_psd_batch
 from repro.phy.qpsk import ChipModulator
 from repro.spread.dsss import SixteenAryDSSS
 
-BACKENDS = sorted(available_backends())
 
-#: accelerated-backend tolerance against the NumPy oracle (bit-exact
-#: backends are compared with array_equal instead)
-RTOL, ATOL = 1e-9, 1e-12
-
-
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=["numba", "numpy"])
 def backend(request):
-    """Each registered backend, activated for the duration of the test."""
-    b = make_backend(request.param)
-    with use_backend(b):
-        yield b
+    """The names of the two former DSP backends.
+
+    The batch wrappers now have one NumPy compute path, so both names run
+    the same code; the parameter only keeps each case's id.
+    """
+    return request.param
 
 
-def assert_conforms(backend, got, want):
-    """Bit-exact for oracle backends, tolerance-checked otherwise."""
+def assert_rows_equal(got, want):
     got = np.asarray(got)
     want = np.asarray(want)
     assert got.shape == want.shape
     assert got.dtype == want.dtype
-    if backend.bit_exact:
-        assert np.array_equal(got, want)
-    else:
-        np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+    assert np.array_equal(got, want)
 
 
 def batch_signals(rows=3, n=257, complex_=True, seed=0):
@@ -72,61 +42,6 @@ def batch_signals(rows=3, n=257, complex_=True, seed=0):
     return x
 
 
-class TestRegistry:
-    def test_numpy_is_the_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend() == DEFAULT_BACKEND == "numpy"
-
-    def test_env_knob_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numba")
-        assert resolve_backend() == "numba"
-        monkeypatch.setenv("REPRO_BACKEND", "  NumPy  ")  # trimmed + case-folded
-        assert resolve_backend() == "numpy"
-
-    def test_unknown_env_value_names_the_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "cuda")
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            resolve_backend()
-
-    def test_make_backend_rejects_unknown_names(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("fortran")
-
-    def test_every_registered_backend_constructs(self):
-        for name in available_backends():
-            b = make_backend(name)
-            assert isinstance(b, DSPBackend)
-            assert b.name == name
-            assert b.available()
-
-    def test_use_backend_scopes_and_restores(self):
-        before = active_backend()
-        with use_backend("numba") as b:
-            assert isinstance(b, NumbaBackend)
-            assert active_backend() is b
-        assert active_backend() is before
-
-    def test_use_backend_none_is_a_noop(self):
-        before = active_backend()
-        with use_backend(None) as b:
-            assert b is before
-        assert active_backend() is before
-
-    def test_backend_info_lists_all_kernels(self):
-        for name in available_backends():
-            info = backend_info(name)
-            assert info["name"] == name
-            assert isinstance(info["bit_exact"], bool)
-            assert sorted(info["kernels"]) == [
-                "apply_fir", "despread", "fft_convolve",
-                "modulate", "spread", "welch_psd",
-            ]
-
-    def test_numpy_backend_is_the_bit_exact_oracle(self):
-        assert NumpyBackend.bit_exact is True
-        assert NumbaBackend.bit_exact is False
-
-
 class TestApplyFirConformance:
     @pytest.mark.parametrize("mode", ["compensated", "same", "full"])
     @pytest.mark.parametrize("complex_", [False, True])
@@ -135,7 +50,7 @@ class TestApplyFirConformance:
         taps = np.hanning(9) / np.hanning(9).sum()
         got = apply_fir_batch(x, taps, mode=mode)
         want = np.stack([apply_fir(row, taps, mode=mode) for row in x])
-        assert_conforms(backend, got, want)
+        assert_rows_equal(got, want)
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_per_row_taps(self, backend, complex_):
@@ -144,16 +59,14 @@ class TestApplyFirConformance:
         taps = rng.standard_normal((4, 11))
         got = apply_fir_batch(x, taps)
         want = np.stack([apply_fir(row, h) for row, h in zip(x, taps)])
-        assert_conforms(backend, got, want)
+        assert_rows_equal(got, want)
 
     def test_long_filters_stay_on_the_oracle(self, backend):
-        # Filters past the jit cap must route to the reference kernel, so
-        # even accelerated backends are bit-exact here.
         x = batch_signals(rows=2, n=4096)
-        taps = np.hanning(JIT_FIR_MAX_TAPS + 1)
+        taps = np.hanning(65)
         got = apply_fir_batch(x, taps)
         want = np.stack([apply_fir(row, taps) for row in x])
-        assert np.array_equal(got, want)
+        assert_rows_equal(got, want)
 
 
 class TestFftConvolveConformance:
@@ -163,7 +76,7 @@ class TestFftConvolveConformance:
         taps = np.hanning(17)
         got = fft_convolve_batch(x, taps)
         want = np.stack([fft_convolve(row, taps) for row in x])
-        assert_conforms(backend, got, want)
+        assert_rows_equal(got, want)
 
     def test_per_row_taps(self, backend):
         x = batch_signals(rows=4)
@@ -171,11 +84,9 @@ class TestFftConvolveConformance:
         taps = rng.standard_normal((4, 13))
         got = fft_convolve_batch(x, taps)
         want = np.stack([fft_convolve(row, h) for row, h in zip(x, taps)])
-        assert_conforms(backend, got, want)
+        assert_rows_equal(got, want)
 
     def test_precomputed_taps_fft_is_bit_identical(self, backend):
-        # A caller-supplied taps transform always goes through the oracle
-        # path (the spectrum cache contract), on every backend.
         x = batch_signals(rows=3, n=300)
         taps = np.hanning(21).astype(complex)
         taps_fft = np.fft.fft(taps, convolve_nfft(300, 21))
@@ -193,7 +104,7 @@ class TestWelchConformance:
         for i, row in enumerate(x):
             want_f, want_psd = welch_psd(row, sample_rate=2e6, nperseg=128, nfft=256)
             assert np.array_equal(got_f, want_f)
-            assert_conforms(backend, got_psd[i], want_psd)
+            assert_rows_equal(got_psd[i], want_psd)
 
 
 class TestModulateConformance:
@@ -207,7 +118,7 @@ class TestModulateConformance:
         mod = ChipModulator(pulse)
         got = mod.modulate_batch(chips, sps)
         want = np.stack([mod.modulate(row, sps) for row in chips])
-        assert_conforms(backend, got, want)
+        assert_rows_equal(got, want)
 
 
 class TestSpreadConformance:
@@ -218,7 +129,7 @@ class TestSpreadConformance:
         syms = rng.integers(0, 16, size=(3, 6))
         got = modem.spread_batch(syms, start_chip=64)
         want = np.stack([modem.spread(row, start_chip=64) for row in syms])
-        assert_conforms(backend, got, want)
+        assert_rows_equal(got, want)
 
     def test_spread_per_row_start_chips(self, backend):
         modem = SixteenAryDSSS(seed=11)
@@ -227,7 +138,7 @@ class TestSpreadConformance:
         starts = np.array([0, 32, 96])
         got = modem.spread_batch(syms, start_chip=starts)
         want = np.stack([modem.spread(r, start_chip=int(s)) for r, s in zip(syms, starts)])
-        assert_conforms(backend, got, want)
+        assert_rows_equal(got, want)
 
     @pytest.mark.parametrize("seed", [None, 42])
     def test_despread_rows_match_serial(self, backend, seed):
@@ -237,108 +148,6 @@ class TestSpreadConformance:
         got = modem.despread_batch(soft, start_chip=32)
         for i, row in enumerate(soft):
             want = modem.despread(row, start_chip=32)
-            assert_conforms(backend, got.symbols[i], want.symbols)
-            assert_conforms(backend, got.scores[i], want.scores)
-            assert_conforms(backend, got.quality[i], want.quality)
-
-
-class TestNumbaBackend:
-    def test_fallback_capabilities_without_numba(self):
-        if numba_available():
-            pytest.skip("numba is installed; fallback path not reachable")
-        b = NumbaBackend()
-        assert not b.jit_active
-        caps = b.capabilities()
-        assert caps["jit"] is False
-        assert caps["kernels"]["apply_fir"] == "numpy-fallback"
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_jit_kernel_is_active_and_tolerance_clean(self):
-        b = NumbaBackend()
-        assert b.jit_active
-        assert b.capabilities()["jit"] is True
-        x = batch_signals(rows=3, n=500)
-        taps = np.hanning(31)
-        with use_backend(b):
-            got = apply_fir_batch(x, taps)
-        want = np.stack([apply_fir(row, taps) for row in x])
-        np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
-
-    def test_jit_cap_is_sane(self):
-        # The cap keeps the paper's long excision filters (thousands of
-        # taps) on the FFT overlap-save path where they belong.
-        assert 8 <= JIT_FIR_MAX_TAPS <= 256
-
-
-class TestStageProfiler:
-    def test_dispatch_records_stages(self):
-        x = batch_signals(rows=2, n=256)
-        taps = np.hanning(9)
-        with profile_stages() as prof:
-            assert active_profiler() is prof
-            apply_fir_batch(x, taps)
-            apply_fir_batch(x, taps)
-            fft_convolve_batch(x, taps)
-        assert active_profiler() is None
-        assert prof.records["apply_fir"].calls == 2
-        assert prof.records["fft_convolve"].calls == 1
-        assert all(r.seconds >= 0.0 for r in prof.records.values())
-
-    def test_nested_dispatch_is_exclusive(self):
-        # An overlapping pulse (span > 1) makes modulate dispatch
-        # fft_convolve internally; exclusive per-stage times must sum to
-        # the outer wall time, not double-count the nested kernel.
-        rng = np.random.default_rng(2)
-        chips = rng.choice([-1.0, 1.0], size=(4, 128))
-        mod = ChipModulator("rrc")
-        with profile_stages() as prof:
-            mod.modulate_batch(chips, 8)
-        stages = prof.to_dict()["stages"]
-        assert "modulate" in stages
-        assert "fft_convolve" in stages
-        assert prof.total_seconds == pytest.approx(
-            sum(r.seconds for r in prof.records.values())
-        )
-
-    def test_to_dict_layout(self):
-        x = batch_signals(rows=1, n=256)
-        with profile_stages() as prof:
-            welch_psd_batch(x, nperseg=64)
-        payload = prof.to_dict()
-        assert set(payload) == {"stages", "total_seconds"}
-        assert payload["stages"]["welch_psd"]["calls"] == 1
-        assert "welch_psd" in prof.summary()
-
-    def test_no_profiler_means_no_records(self):
-        # Outside a profile_stages scope dispatch must not record anything.
-        x = batch_signals(rows=1, n=128)
-        welch_psd_batch(x, nperseg=64)
-        assert active_profiler() is None
-
-
-class TestBackendKernelManifest:
-    """``BACKEND_KERNELS`` covers the full dispatch surface and resolves."""
-
-    def test_every_entry_resolves(self):
-        from repro.lint.manifest import BACKEND_KERNELS, resolve
-
-        for kernel_ref, wrapper_ref in BACKEND_KERNELS.items():
-            assert callable(resolve(kernel_ref)), kernel_ref
-            assert callable(resolve(wrapper_ref)), wrapper_ref
-
-    def test_every_wrapper_is_inside_the_equivalence_wall(self):
-        from repro.lint.manifest import BACKEND_KERNELS, BATCH_EQUIVALENCE
-
-        for wrapper_ref in BACKEND_KERNELS.values():
-            assert wrapper_ref in BATCH_EQUIVALENCE, wrapper_ref
-
-    def test_manifest_matches_the_abstract_surface(self):
-        from repro.lint.manifest import BACKEND_KERNELS
-
-        declared = {ref.rpartition(".")[2] for ref in BACKEND_KERNELS}
-        assert declared == set(DSPBackend.__abstractmethods__)
-
-    def test_factories_cover_the_manifest_backends(self):
-        # Registering a backend without wiring its factory (or vice versa)
-        # must fail here, not at first --backend use.
-        assert set(BACKEND_FACTORIES) == {"numpy", "numba"}
+            assert_rows_equal(got.symbols[i], want.symbols)
+            assert_rows_equal(got.scores[i], want.scores)
+            assert_rows_equal(got.quality[i], want.quality)

@@ -263,6 +263,24 @@ class TestScenario:
         assert "config field 'symbols_per_hop': expected an integer" in str(err.value)
 
 
+class TestLegacyBackendKey:
+    """Spec files from when scenarios could pin a DSP compute backend."""
+
+    def test_numpy_is_accepted_and_dropped(self):
+        # Dropped on load, so to_dict (and the cache/checkpoint hash built
+        # from it) matches the same file without the key.
+        data = {"name": "b", "packets": 1}
+        legacy = Scenario.from_dict({**data, "backend": "numpy"})
+        assert "backend" not in legacy.to_dict()
+        assert legacy.to_dict() == Scenario.from_dict(data).to_dict()
+
+    @pytest.mark.parametrize("value", ["numba", "gpu", "", None])
+    def test_other_values_name_the_field(self, value):
+        with pytest.raises(ScenarioError) as err:
+            Scenario.from_dict({"name": "b", "packets": 1, "backend": value})
+        assert str(err.value).startswith("backend:")
+
+
 # ---------------------------------------------------------------------------
 # scenario execution
 # ---------------------------------------------------------------------------
