@@ -65,7 +65,7 @@ def save_and_print(result: SweepResult, name: str, title: str) -> str:
 
 def pool_executor() -> ParallelExecutor:
     """The ``REPRO_WORKERS``-configured executor for benchmark sweeps."""
-    return ParallelExecutor.from_env()
+    return ParallelExecutor()
 
 
 def run_once(benchmark, fn):

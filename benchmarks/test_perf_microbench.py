@@ -95,6 +95,16 @@ def test_perf_control_decision(benchmark):
     benchmark(logic.decide, jammed, 10e6)
 
 
+def _sweep_point(link, snr_db):
+    """One point of the parallel-sweep benchmark (a pool runner, so module-level)."""
+    stats = link.run_packets(
+        4, snr_db=snr_db, sjr_db=-10.0,
+        jammer=BandlimitedNoiseJammer(2.5e6, FS), seed=3,
+        executor=ParallelExecutor(0), cache=False,
+    )
+    return {"snr_db": snr_db, "per": stats.packet_error_rate, "ber": stats.bit_error_rate}
+
+
 def test_perf_parallel_sweep_speedup():
     """Parallel sweep engine: bit-identical to serial, tracked speedup.
 
@@ -110,18 +120,9 @@ def test_perf_parallel_sweep_speedup():
     link = LinkSimulator(cfg)
     snrs = [float(s) for s in np.linspace(0.0, 18.0, 8)]
     serial = ParallelExecutor(0)
-
-    def evaluate(snr_db):
-        stats = link.run_packets(
-            4, snr_db=snr_db, sjr_db=-10.0,
-            jammer=BandlimitedNoiseJammer(2.5e6, FS), seed=3,
-            executor=serial, cache=False,
-        )
-        return {"snr_db": snr_db, "per": stats.packet_error_rate, "ber": stats.bit_error_rate}
-
     columns = ["snr_db", "per", "ber"]
-    base = run_sweep(columns, snrs, evaluate, executor=serial)
-    pool = run_sweep(columns, snrs, evaluate, executor=ParallelExecutor(workers))
+    base = run_sweep(columns, snrs, _sweep_point, link, executor=serial)
+    pool = run_sweep(columns, snrs, _sweep_point, link, executor=ParallelExecutor(workers))
     assert pool.rows == base.rows  # determinism: parallel == serial, bit for bit
 
     speedup = base.timing.wall_seconds / pool.timing.wall_seconds

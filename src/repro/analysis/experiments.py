@@ -122,7 +122,7 @@ def default_search(packets: int = 12, tolerance_db: float = 1.0, scale: float | 
 # analytic figures (Section 5)
 # ---------------------------------------------------------------------------
 
-def _bound_record(r) -> dict:
+def _bound_record(_payload: None, r: float) -> dict:
     """One Figure-7/8 grid point: the γ bound at ratio ``r`` per jammer power."""
     gammas = [
         float(theory.improvement_factor_db(1.0, 1.0 / r, p_db, FIG7_NOISE_POWER))
@@ -154,7 +154,7 @@ def figure08(num_points: int = 61) -> SweepResult:
     )
 
 
-def _fig9_record(e) -> dict:
+def _fig9_record(_payload: None, e: float) -> dict:
     """One Figure-9 grid point: all BER curves at Eb/N0 ``e`` dB."""
     record = {
         "ebno_db": float(e),
@@ -186,23 +186,47 @@ def figure09(num_points: int = 21) -> SweepResult:
     return run_sweep(tuple(columns), np.linspace(0.0, 20.0, num_points), _fig9_record)
 
 
+def _fig10_record(ebno_db: float, r: float) -> dict:
+    """One Figure-10 grid point: BER per SJR at jammer bandwidth ratio ``r``."""
+    out = {"bj_over_max_bp": float(r)}
+    for sjr in [-10.0, -15.0, -20.0]:
+        ber = theory.bhss_ber(
+            ebno_db, sjr, FIG9_L_DB, FIG9_BANDWIDTHS, FIG9_WEIGHTS, r * FIG9_BANDWIDTHS.max()
+        )
+        out[f"ber_sjr_{sjr:.0f}dB"] = float(ber)
+    return out
+
+
 def figure10(num_points: int = 41, ebno_db: float = 15.0) -> SweepResult:
     """Figure 10: BHSS BER vs jammer bandwidth per SJR (−10/−15/−20 dB)."""
-
-    def record(r) -> dict:
-        out = {"bj_over_max_bp": float(r)}
-        for sjr in [-10.0, -15.0, -20.0]:
-            ber = theory.bhss_ber(
-                ebno_db, sjr, FIG9_L_DB, FIG9_BANDWIDTHS, FIG9_WEIGHTS, r * FIG9_BANDWIDTHS.max()
-            )
-            out[f"ber_sjr_{sjr:.0f}dB"] = float(ber)
-        return out
-
     return run_sweep(
         ("bj_over_max_bp", "ber_sjr_-10dB", "ber_sjr_-15dB", "ber_sjr_-20dB"),
         np.logspace(-2, 0, num_points),
-        record,
+        _fig10_record,
+        ebno_db,
     )
+
+
+def _fig11_record(dsss_curve: np.ndarray, point: tuple[int, float]) -> dict:
+    """One Figure-11 grid point ``(i, e)``: throughput curves at Eb/N0 ``e`` dB."""
+    i, e = point
+    out = {"ebno_db": float(e), "dsss_fhss": float(dsss_curve[i])}
+    for r in FIG9_FIXED_RATIOS:
+        out[f"bhss_bj_{r}"] = float(
+            theory.throughput_curve(
+                float(e), FIG9_SJR_DB, FIG11_PACKET_BITS, FIG9_L_DB,
+                bandwidths=FIG11_BANDWIDTHS, hop_weights=FIG11_WEIGHTS,
+                jammer_bandwidths=r * FIG11_BANDWIDTHS.max(),
+            )
+        )
+    out["bhss_bj_random"] = float(
+        theory.throughput_curve(
+            float(e), FIG9_SJR_DB, FIG11_PACKET_BITS, FIG9_L_DB,
+            bandwidths=FIG11_BANDWIDTHS, hop_weights=FIG11_WEIGHTS,
+            jammer_bandwidths=FIG11_BANDWIDTHS, jammer_weights=FIG11_WEIGHTS,
+        )
+    )
+    return out
 
 
 def figure11(num_points: int = 36) -> SweepResult:
@@ -215,27 +239,7 @@ def figure11(num_points: int = 36) -> SweepResult:
         + ["bhss_bj_random"]
     )
     dsss_curve = theory.throughput_curve(ebno, FIG9_SJR_DB, FIG11_PACKET_BITS, l_dsss)
-
-    def record(i, e) -> dict:
-        out = {"ebno_db": float(e), "dsss_fhss": float(dsss_curve[i])}
-        for r in FIG9_FIXED_RATIOS:
-            out[f"bhss_bj_{r}"] = float(
-                theory.throughput_curve(
-                    float(e), FIG9_SJR_DB, FIG11_PACKET_BITS, FIG9_L_DB,
-                    bandwidths=FIG11_BANDWIDTHS, hop_weights=FIG11_WEIGHTS,
-                    jammer_bandwidths=r * FIG11_BANDWIDTHS.max(),
-                )
-            )
-        out["bhss_bj_random"] = float(
-            theory.throughput_curve(
-                float(e), FIG9_SJR_DB, FIG11_PACKET_BITS, FIG9_L_DB,
-                bandwidths=FIG11_BANDWIDTHS, hop_weights=FIG11_WEIGHTS,
-                jammer_bandwidths=FIG11_BANDWIDTHS, jammer_weights=FIG11_WEIGHTS,
-            )
-        )
-        return out
-
-    return run_sweep(tuple(columns), list(enumerate(ebno)), record)
+    return run_sweep(tuple(columns), list(enumerate(ebno)), _fig11_record, dsss_curve)
 
 
 def table1(num_trials: int = 3000, seed: int = 0) -> tuple[SweepResult, SweepResult]:
@@ -288,6 +292,28 @@ def table1(num_trials: int = 3000, seed: int = 0) -> tuple[SweepResult, SweepRes
 # measured experiments (Section 6)
 # ---------------------------------------------------------------------------
 
+def _fig13_point(payload: dict, point: tuple[float, float]) -> dict:
+    """One Figure-13 constellation ``(bp, bj)``: filtered vs eq.-(5) thresholds."""
+    bp, bj = point
+    search = payload["search"]
+    cfg = _paper_config(
+        seed=payload["seed"], payload_bytes=payload["payload_bytes"], fixed_bandwidth=float(bp)
+    )
+    link_filtered = LinkSimulator(cfg)
+    link_baseline = LinkSimulator(cfg.as_theory_baseline())
+    jammer = _noise(bj)
+    t_filt = min_snr_for_per(link_filtered, jnr_db=JNR_DB, jammer=jammer, search=search, seed=3)
+    t_base = min_snr_for_per(link_baseline, jnr_db=JNR_DB, jammer=jammer, search=search, seed=3)
+    return {
+        "bp_mhz": float(bp / 1e6),
+        "bj_mhz": float(bj / 1e6),
+        "ratio": float(bp / bj),
+        "thr_filtered_db": float(t_filt),
+        "thr_unfiltered_db": float(t_base),
+        "advantage_db": float(t_base - t_filt),
+    }
+
+
 def figure13(scale: float | None = None, payload_bytes: int = 4, seed: int = 17) -> tuple[SweepResult, SweepResult]:
     """Figure 13: power advantage for the 49 fixed bandwidth constellations.
 
@@ -296,27 +322,11 @@ def figure13(scale: float | None = None, payload_bytes: int = 4, seed: int = 17)
     """
     search = default_search(packets=6, tolerance_db=1.5, scale=scale)
     bandwidths = BHSSConfig.paper_default().bandwidth_set.as_array()
-
-    def evaluate(bp, bj) -> dict:
-        cfg = _paper_config(seed=seed, payload_bytes=payload_bytes, fixed_bandwidth=float(bp))
-        link_filtered = LinkSimulator(cfg)
-        link_baseline = LinkSimulator(cfg.as_theory_baseline())
-        jammer = _noise(bj)
-        t_filt = min_snr_for_per(link_filtered, jnr_db=JNR_DB, jammer=jammer, search=search, seed=3)
-        t_base = min_snr_for_per(link_baseline, jnr_db=JNR_DB, jammer=jammer, search=search, seed=3)
-        return {
-            "bp_mhz": float(bp / 1e6),
-            "bj_mhz": float(bj / 1e6),
-            "ratio": float(bp / bj),
-            "thr_filtered_db": float(t_filt),
-            "thr_unfiltered_db": float(t_base),
-            "advantage_db": float(t_base - t_filt),
-        }
-
     per_pair = run_sweep(
         ("bp_mhz", "bj_mhz", "ratio", "thr_filtered_db", "thr_unfiltered_db", "advantage_db"),
         [(float(bp), float(bj)) for bp in bandwidths for bj in bandwidths],
-        evaluate,
+        _fig13_point,
+        {"search": search, "seed": seed, "payload_bytes": payload_bytes},
     )
 
     groups: dict[float, list[float]] = defaultdict(list)
@@ -335,6 +345,21 @@ def figure13(scale: float | None = None, payload_bytes: int = 4, seed: int = 17)
     return per_pair, by_ratio
 
 
+def _fig14_point(payload: dict, point: tuple[str, float]) -> dict:
+    """One Figure-14 point ``(pattern, bj)``: hopping link threshold vs the baseline."""
+    pattern, bj = point
+    link = LinkSimulator(_paper_config(**payload["base"], pattern=pattern))
+    t = min_snr_for_per(link, jnr_db=JNR_DB, jammer=_noise(bj), search=payload["search"], seed=5)
+    t_base = payload["t_base"]
+    return {
+        "pattern": pattern,
+        "bj_mhz": float(bj / 1e6),
+        "threshold_db": float(t),
+        "baseline_db": float(t_base),
+        "advantage_db": float(t_base - t),
+    }
+
+
 def figure14(
     scale: float | None = None,
     payload_bytes: int = 8,
@@ -347,23 +372,39 @@ def figure14(
     bandwidths = _paper_config(**base).bandwidth_set.as_array()
     baseline = LinkSimulator(_paper_config(**base, fixed_bandwidth=10e6))
     t_base = min_snr_for_per(baseline, jnr_db=JNR_DB, jammer=_noise(10e6), search=search, seed=5)
-
-    def evaluate(pattern, bj) -> dict:
-        link = LinkSimulator(_paper_config(**base, pattern=pattern))
-        t = min_snr_for_per(link, jnr_db=JNR_DB, jammer=_noise(bj), search=search, seed=5)
-        return {
-            "pattern": pattern,
-            "bj_mhz": float(bj / 1e6),
-            "threshold_db": float(t),
-            "baseline_db": float(t_base),
-            "advantage_db": float(t_base - t),
-        }
-
     return run_sweep(
         ("pattern", "bj_mhz", "threshold_db", "baseline_db", "advantage_db"),
         [(pattern, float(bj)) for pattern in PATTERNS for bj in bandwidths],
-        evaluate,
+        _fig14_point,
+        {"search": search, "base": base, "t_base": t_base},
     )
+
+
+def _table2_cell(payload: dict, point: tuple[str, str]) -> dict:
+    """One Table-2 cell ``(signal pattern, jammer pattern)``.
+
+    The hopping jammer is stateful, so each cell builds its own from the
+    payload's plain spec fields.
+    """
+    sig, jam = point
+    link = LinkSimulator(_paper_config(**payload["base"], pattern=sig))
+    jammer = jammer_from_spec(
+        {
+            "type": "hopping",
+            "bandwidths": payload["bandwidths"],
+            "dwell_samples": payload["jammer_dwell_samples"],
+            "weights": jam,
+            "seed": 101,
+        },
+        sample_rate=FS,
+    )
+    t = min_snr_for_per(link, jnr_db=JNR_DB, jammer=jammer, search=payload["search"], seed=7)
+    return {
+        "signal_pattern": sig,
+        "jammer_pattern": jam,
+        "threshold_db": float(t),
+        "advantage_db": float(payload["t_base"] - t),
+    }
 
 
 def table2(
@@ -379,31 +420,17 @@ def table2(
     bandwidths = _paper_config(**base).bandwidth_set.as_array()
     baseline = LinkSimulator(_paper_config(**base, fixed_bandwidth=10e6))
     t_base = min_snr_for_per(baseline, jnr_db=JNR_DB, jammer=_noise(10e6), search=search, seed=7)
-
-    def evaluate(sig, jam) -> dict:
-        link = LinkSimulator(_paper_config(**base, pattern=sig))
-        jammer = jammer_from_spec(
-            {
-                "type": "hopping",
-                "bandwidths": [float(b) for b in bandwidths],
-                "dwell_samples": jammer_dwell_samples,
-                "weights": jam,
-                "seed": 101,
-            },
-            sample_rate=FS,
-        )
-        t = min_snr_for_per(link, jnr_db=JNR_DB, jammer=jammer, search=search, seed=7)
-        return {
-            "signal_pattern": sig,
-            "jammer_pattern": jam,
-            "threshold_db": float(t),
-            "advantage_db": float(t_base - t),
-        }
-
     return run_sweep(
         ("signal_pattern", "jammer_pattern", "threshold_db", "advantage_db"),
         [(sig, jam) for sig in PATTERNS for jam in PATTERNS],
-        evaluate,
+        _table2_cell,
+        {
+            "search": search,
+            "base": base,
+            "bandwidths": [float(b) for b in bandwidths],
+            "jammer_dwell_samples": jammer_dwell_samples,
+            "t_base": t_base,
+        },
     )
 
 
@@ -440,6 +467,24 @@ def validation_ber(scale: float | None = None, payload_bytes: int = 16, seed: in
 # ablations and extensions (ours)
 # ---------------------------------------------------------------------------
 
+def _dwells_point(payload: dict, sph: int) -> dict:
+    """One dwell-ablation point: the exponential-pattern link at ``sph`` symbols per hop."""
+    cfg = _paper_config(
+        pattern="exponential", seed=payload["seed"], payload_bytes=payload["payload_bytes"],
+        symbols_per_hop=sph,
+    )
+    t = min_snr_for_per(
+        LinkSimulator(cfg), jnr_db=JNR_DB, jammer=_noise(payload["jammer_bandwidth"]),
+        search=payload["search"], seed=9,
+    )
+    return {
+        "symbols_per_hop": sph,
+        "dwells_per_packet": int(-(-cfg.frame_symbols() // sph)),
+        "threshold_db": float(t),
+        "advantage_db": float(payload["t_base"] - t),
+    }
+
+
 def ablation_dwells(
     scale: float | None = None,
     payload_bytes: int = 8,
@@ -452,26 +497,17 @@ def ablation_dwells(
         _paper_config(seed=seed, payload_bytes=payload_bytes, fixed_bandwidth=10e6)
     )
     t_base = min_snr_for_per(baseline, jnr_db=JNR_DB, jammer=_noise(10e6), search=search, seed=9)
-
-    def evaluate(sph) -> dict:
-        cfg = _paper_config(
-            pattern="exponential", seed=seed, payload_bytes=payload_bytes, symbols_per_hop=sph
-        )
-        link = LinkSimulator(cfg)
-        t = min_snr_for_per(
-            link, jnr_db=JNR_DB, jammer=_noise(jammer_bandwidth), search=search, seed=9
-        )
-        return {
-            "symbols_per_hop": sph,
-            "dwells_per_packet": int(-(-cfg.frame_symbols() // sph)),
-            "threshold_db": float(t),
-            "advantage_db": float(t_base - t),
-        }
-
     return run_sweep(
         ("symbols_per_hop", "dwells_per_packet", "threshold_db", "advantage_db"),
         [4, 8, 16, 32],
-        evaluate,
+        _dwells_point,
+        {
+            "search": search,
+            "seed": seed,
+            "payload_bytes": payload_bytes,
+            "jammer_bandwidth": jammer_bandwidth,
+            "t_base": t_base,
+        },
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.runtime import (
     ParallelExecutor,
@@ -104,28 +104,28 @@ def _contains_repr_fallback(doc: object) -> bool:
 def run_sweep(
     columns: Sequence[str],
     grid: Iterable,
-    evaluate: Callable[..., dict],
+    evaluate: Callable[[Any, Any], dict],
+    payload: Any = None,
     *,
-    unpack: bool = True,
     executor: ParallelExecutor | None = None,
     checkpoint: "SweepCheckpoint | str | bool | None" = None,
     checkpoint_key: str | None = None,
 ) -> SweepResult:
-    """Evaluate a function over a grid of points.
+    """Evaluate ``evaluate(payload, point)`` over a grid of points.
 
-    ``grid`` yields scalars or tuples; with ``unpack=True`` (the default)
-    tuple points are splatted into ``evaluate(*point)``.  Grids whose
-    *scalar* points happen to be tuples — e.g. ``(lo, hi)`` bracket
-    values — must pass ``unpack=False`` to receive each point as one
-    argument; the historical behavior silently splatted them.
+    ``evaluate`` is a module-level function (closures and lambdas are
+    rejected: pool workers re-import it); ``payload`` is picklable data
+    shared by every point, and each point arrives whole — a tuple point
+    is one argument, never splatted.  ``payload`` is the same object for
+    every point on the serial path, so anything stateful (hopping or
+    sweep jammers) must be built inside ``evaluate`` from plain
+    arguments, never carried in the payload.
 
     ``executor`` fans the grid points out over a process pool (default:
     the ``REPRO_WORKERS``-configured executor; serial when unset).
     Results are merged in grid order, so a parallel sweep is bit-identical
-    to a serial one whenever ``evaluate`` is a pure function of its point
-    — which holds for evaluators that build their links/jammers per call
-    (shared *stateful* objects mutated across points are outside the
-    guarantee).  The sweep's wall-time telemetry is attached as
+    to a serial one whenever ``evaluate`` is a pure function of its
+    arguments.  The sweep's wall-time telemetry is attached as
     ``result.timing``.
 
     ``checkpoint`` enables crash-safe resume (``None`` defers to
@@ -135,26 +135,15 @@ def run_sweep(
     bit-identically.  Records must be JSON-serializable on this path.
     The checkpoint is keyed by a canonical hash of (columns, grid) —
     pass ``checkpoint_key`` to pin it explicitly (required for grids of
-    non-plain-data points, and recommended when the evaluator changes
-    meaning between runs).
+    non-plain-data points, and recommended when ``evaluate`` or
+    ``payload`` changes meaning between runs).
     """
     points = list(grid)
-    ex = executor if executor is not None else ParallelExecutor.from_env()
-
-    def call(point):
-        if unpack and isinstance(point, tuple):
-            return evaluate(*point)
-        return evaluate(point)
 
     def key() -> str:
         return checkpoint_key if checkpoint_key is not None else _grid_key(columns, points)
 
-    records, timing = run_grid(
-        key,
-        points,
-        lambda todo, on_result: ex.map_timed(call, todo, on_result=on_result),
-        checkpoint=checkpoint,
-    )
+    records, timing = run_grid(key, points, evaluate, payload, executor, checkpoint=checkpoint)
     return SweepResult.from_records(columns, records, timing)
 
 

@@ -256,29 +256,37 @@ def cmd_record(args) -> int:
     return 0
 
 
+def _sweep_point(payload: dict, sjr: float) -> dict:
+    """One ``repro-bhss sweep`` grid point: PER/BER of the link at SJR ``sjr``.
+
+    Each point builds its own jammer, so every point is a pure function of
+    its SJR and the sweep parallelizes (REPRO_WORKERS) bit-identically to
+    the serial run.
+    """
+    link, args = payload["link"], payload["args"]
+    stats = link.run_packets(
+        args.packets, snr_db=args.snr, sjr_db=sjr,
+        jammer=_build_jammer(args, link.config), seed=args.run_seed,
+    )
+    lo, hi = stats.per_confidence_interval()
+    return {
+        "sjr_db": sjr,
+        "per": stats.packet_error_rate,
+        "per_lo": lo,
+        "per_hi": hi,
+        "ber": stats.bit_error_rate,
+    }
+
+
 def cmd_sweep(args) -> int:
     config = _build_config(args)
-    link = LinkSimulator(config)
     sjrs = [float(s) for s in args.sjr_list.split(",")]
-
-    # Each grid point builds its own jammer, so every point is a pure
-    # function of its SJR and the sweep parallelizes (REPRO_WORKERS)
-    # bit-identically to the serial run.
-    def evaluate(sjr: float) -> dict:
-        stats = link.run_packets(
-            args.packets, snr_db=args.snr, sjr_db=sjr,
-            jammer=_build_jammer(args, config), seed=args.run_seed,
-        )
-        lo, hi = stats.per_confidence_interval()
-        return {
-            "sjr_db": sjr,
-            "per": stats.packet_error_rate,
-            "per_lo": lo,
-            "per_hi": hi,
-            "ber": stats.bit_error_rate,
-        }
-
-    result = run_sweep(["sjr_db", "per", "per_lo", "per_hi", "ber"], sjrs, evaluate)
+    result = run_sweep(
+        ["sjr_db", "per", "per_lo", "per_hi", "ber"],
+        sjrs,
+        _sweep_point,
+        {"link": LinkSimulator(config), "args": args},
+    )
     rows = [
         [f"{r['sjr_db']:g}", f"{r['per']:.3f}", f"[{r['per_lo']:.2f},{r['per_hi']:.2f}]", f"{r['ber']:.5f}"]
         for r in result.rows

@@ -262,7 +262,7 @@ class LinkSimulator:
         """
         if num_packets < 1:
             raise ValueError(f"num_packets must be >= 1, got {num_packets}")
-        ex = executor if executor is not None else ParallelExecutor.from_env()
+        ex = executor if executor is not None else ParallelExecutor()
         store = resolve_cache(cache)
         order_free = jammer is None or not jammer.is_stateful
 
@@ -285,7 +285,10 @@ class LinkSimulator:
         )
         if ex.parallel and order_free and num_packets >= 2:
             bounds = self._chunk_bounds(num_packets, ex.workers)
-            partials = ex.map(lambda se: self._run_packet_chunk(*se, **chunk_kwargs), bounds)
+            # Ships the live link, not a config rebuild: callers may swap its
+            # receiver or channel after construction.
+            report = ex.map_spec(_packet_chunk, {"link": self, **chunk_kwargs}, bounds)
+            partials = list(report.values)
         else:
             partials = [self._run_packet_chunk(0, num_packets, **chunk_kwargs)]
 
@@ -509,3 +512,10 @@ class LinkSimulator:
         :meth:`TxPath.data_rate_bps`, which owns the calculation.
         """
         return self.tx_path.data_rate_bps()
+
+
+def _packet_chunk(payload: dict, bounds: tuple[int, int]) -> tuple[int, int, int, dict[str, int]]:
+    """Pool runner of :meth:`LinkSimulator.run_packets`: one packet range."""
+    kwargs = dict(payload)
+    link = kwargs.pop("link")
+    return link._run_packet_chunk(*bounds, **kwargs)

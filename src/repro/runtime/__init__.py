@@ -7,7 +7,8 @@ deterministic order, producing *bit-identical* results to a serial run.
 This package provides the pieces the analysis layer threads through:
 
 ``ParallelExecutor``
-    Ordered, fork-based ``map`` over a ``multiprocessing`` pool with a
+    Ordered, fork-based ``map_spec`` — ``runner(payload, item)`` for a
+    module-level ``runner`` — over a ``multiprocessing`` pool with a
     serial fallback (the default when ``REPRO_WORKERS`` is unset) —
     *supervised*: per-task wall-clock timeouts (``REPRO_TIMEOUT``),
     bounded retries with deterministic backoff (``REPRO_RETRIES``),

@@ -1,19 +1,16 @@
-"""Supervised, ordered parallel ``map`` over a forked process pool.
+"""Supervised, ordered parallel map over a forked process pool.
 
-Sweep evaluators and packet-chunk workers are usually *closures* (they
-capture a link, a jammer factory, CLI arguments), which the pickling
-transport of ``concurrent.futures`` cannot ship.  On platforms with
-``fork`` (Linux — the only place a multi-worker sweep makes sense for this
-library) the closure does not need to be shipped at all: the payload is
-parked in a module-level global immediately before the pool forks, the
-children inherit it through copy-on-write memory, and only integer indices
-and picklable *results* cross the pipe.
-
-:meth:`ParallelExecutor.map_spec` is the *spec transport*: the work
-function is an importable module-level callable (addressed as
-``"module:qualname"``) and the shared context is plain picklable data, so
-workers rebuild everything from the spec and nothing rides on
-fork-inherited globals.  Declarative scenario sweeps use this path.
+Every pooled task is ``runner(payload, item)``: ``runner`` is an
+importable module-level callable (addressed as ``"module:qualname"``),
+``payload`` is picklable data shared by every item of the map, and each
+item is picklable too.  :meth:`ParallelExecutor.map_spec` is the one
+transport: the supervisor ships ``(runner reference, payload, index,
+attempt, item)`` to :func:`_run_spec_indexed` in a ``fork``-started pool,
+the worker re-imports the runner and returns ``(index, value, seconds)``.
+The serial path calls the same runner in-process, handing every item the
+*same* payload object — so payloads must not carry state that one item's
+evaluation mutates for the next (build stateful jammers inside the
+runner from plain arguments instead).
 
 Supervision: tasks are submitted individually through a sliding window of
 ``apply_async`` calls (window = pool size, so a task's wall clock starts
@@ -36,7 +33,7 @@ path**, so an unhealthy machine finishes slowly instead of not at all.
 Fault injection (``REPRO_FAULTS``, :mod:`repro.runtime.faults`) exercises
 every one of these paths deterministically in the test suite.
 
-Determinism: ``map``/``map_timed``/``map_spec`` always return results in
+Determinism: :meth:`ParallelExecutor.map_spec` always returns results in
 input order, whatever order the workers finished in — and a retried task
 re-evaluates the same pure function of the same item — so any fold over
 the results is identical to the serial fold, faults or no faults.
@@ -85,9 +82,6 @@ MAX_POOL_RESTARTS = 3
 #: Supervisor poll interval while waiting on in-flight tasks.
 _POLL_SECONDS = 0.01
 
-#: (fn, items) visible to forked children; only set around a pool launch.
-_WORKER_PAYLOAD: tuple | None = None
-
 #: Set in pool children so nested executors degrade to serial.
 _IN_WORKER = False
 
@@ -95,16 +89,6 @@ _IN_WORKER = False
 def _init_worker() -> None:
     global _IN_WORKER
     _IN_WORKER = True
-
-
-def _run_indexed(arg: tuple):
-    """Pool target: run payload item ``index``, timing the call."""
-    index, attempt = arg
-    fn, items = _WORKER_PAYLOAD
-    inject_faults(index, attempt)
-    t0 = time.perf_counter()
-    value = fn(items[index])
-    return index, value, time.perf_counter() - t0
 
 
 #: per-process memo of resolved ``"module:qualname"`` spec runners.
@@ -156,7 +140,7 @@ def spec_runner_ref(runner) -> str:
 
 
 def _run_spec_indexed(arg: tuple):
-    """Pool target for :meth:`ParallelExecutor.map_spec`: one (spec, item) call."""
+    """The pool target: one ``runner(spec, item)`` call, timed."""
     ref, spec, index, attempt, item = arg
     fn = _import_spec_runner(ref)
     inject_faults(index, attempt)
@@ -318,11 +302,6 @@ class ParallelExecutor:
             self.timeout = float(timeout) if timeout > 0 else None
         self.retries = resolve_retries() if retries is None else max(0, int(retries))
 
-    @classmethod
-    def from_env(cls) -> "ParallelExecutor":
-        """The executor configured by ``REPRO_WORKERS`` (serial if unset)."""
-        return cls(resolve_workers())
-
     @staticmethod
     def fork_available() -> bool:
         """Whether the forked-pool transport exists on this platform."""
@@ -333,65 +312,6 @@ class ParallelExecutor:
         """Whether maps will actually use a worker pool."""
         return self.workers > 1 and self.fork_available() and not _IN_WORKER
 
-    def map(self, fn: Callable, items: Iterable) -> list:
-        """``[fn(x) for x in items]`` with pool fan-out, in input order."""
-        return list(self.map_timed(fn, items).values)
-
-    def map_timed(
-        self,
-        fn: Callable,
-        items: Iterable,
-        *,
-        on_result: Callable[[int, object], None] | None = None,
-    ) -> MapReport:
-        """Like :meth:`map` but returning a :class:`MapReport` with timing.
-
-        ``on_result(index, value)`` — when given — is invoked in the
-        *supervisor* process as each item completes (completion order,
-        not input order); the checkpoint layer hooks it to persist
-        progress incrementally.
-        """
-        items = list(items)
-        if not items:
-            return MapReport(values=(), seconds=(), wall_seconds=0.0, workers=1)
-        n = len(items)
-        t0 = time.perf_counter()
-        values: list = [None] * n
-        seconds: list = [0.0] * n
-        attempts = [0] * n
-        if not self.parallel or n < 2:
-            retries = self._serial_complete(
-                lambda index: fn(items[index]),
-                list(range(n)), attempts, values, seconds, on_result,
-            )
-            workers = 1
-        else:
-            global _WORKER_PAYLOAD
-            _WORKER_PAYLOAD = (fn, items)
-            try:
-                retries = self._pool_supervised(
-                    submit=lambda pool, index, attempt: pool.apply_async(
-                        _run_indexed, ((index, attempt),)
-                    ),
-                    serial_call=lambda index: fn(items[index]),
-                    context=multiprocessing.get_context("fork"),
-                    n=n, values=values, seconds=seconds, attempts=attempts,
-                    on_result=on_result,
-                )
-            finally:
-                # Always drop the payload: keeping it would pin the captured
-                # link/jammer objects (and their arrays) for the process
-                # lifetime after the pool is gone.
-                _WORKER_PAYLOAD = None
-            workers = min(self.workers, n)
-        return MapReport(
-            values=tuple(values),
-            seconds=tuple(seconds),
-            wall_seconds=time.perf_counter() - t0,
-            workers=workers,
-            retries=retries,
-        )
-
     def map_spec(
         self,
         runner,
@@ -400,15 +320,15 @@ class ParallelExecutor:
         *,
         on_result: Callable[[int, object], None] | None = None,
     ) -> MapReport:
-        """Ordered map through the picklable *spec transport*.
+        """``[runner(spec, x) for x in items]`` with pool fan-out, in input order.
 
         ``runner`` is a module-level callable (or its ``"module:qualname"``
-        reference) invoked as ``runner(spec, item)``; ``spec`` and every
-        item must be plain picklable data.  Workers re-import the runner
-        and rebuild whatever they need from the spec, so — unlike
-        :meth:`map` — nothing depends on fork-inherited globals and the
-        transport works under any ``multiprocessing`` start method.
-        ``on_result`` behaves as in :meth:`map_timed`.
+        reference); ``spec`` and every item must be picklable.  Workers
+        re-import the runner, so closures and lambdas are rejected up
+        front even on the serial path.  ``on_result(index, value)`` — when
+        given — is invoked in the *supervisor* process as each item
+        completes (completion order, not input order); the checkpoint
+        layer hooks it to persist progress incrementally.
         """
         ref = spec_runner_ref(runner)
         items = list(items)
@@ -420,21 +340,19 @@ class ParallelExecutor:
         seconds: list = [0.0] * n
         attempts = [0] * n
         fn = _import_spec_runner(ref)
-        if self.workers > 1 and not _IN_WORKER and n >= 2:
+
+        def call(index: int) -> object:
+            return fn(spec, items[index])
+
+        if self.parallel and n >= 2:
             retries = self._pool_supervised(
-                submit=lambda pool, index, attempt: pool.apply_async(
-                    _run_spec_indexed, ((ref, spec, index, attempt, items[index]),)
-                ),
-                serial_call=lambda index: fn(spec, items[index]),
-                context=multiprocessing.get_context(),
-                n=n, values=values, seconds=seconds, attempts=attempts,
-                on_result=on_result,
+                ref, spec, items, call,
+                values=values, seconds=seconds, attempts=attempts, on_result=on_result,
             )
             workers = min(self.workers, n)
         else:
             retries = self._serial_complete(
-                lambda index: fn(spec, items[index]),
-                list(range(n)), attempts, values, seconds, on_result,
+                call, list(range(n)), attempts, values, seconds, on_result
             )
             workers = 1
         return MapReport(
@@ -513,11 +431,11 @@ class ParallelExecutor:
 
     def _pool_supervised(
         self,
-        *,
-        submit: Callable,
+        ref: str,
+        spec,
+        items: list,
         serial_call: Callable[[int], object],
-        context,
-        n: int,
+        *,
         values: list,
         seconds: list,
         attempts: list,
@@ -525,12 +443,14 @@ class ParallelExecutor:
     ) -> int:
         """Supervise a pool until every task completes (or one is terminal).
 
-        Sliding window of ``apply_async`` submissions (window = pool
-        size), polled for completion, per-task wall-clock timeout and
-        dead-child detection.  A hang or crash recycles the pool and
+        Every task is :func:`_run_spec_indexed` on ``items[index]``;
+        ``serial_call(index)`` is the in-process fallback.  Sliding window
+        of ``apply_async`` submissions (window = pool size), polled for
+        completion, per-task wall-clock timeout and dead-child detection.  A hang or crash recycles the pool and
         requeues the unfinished work; more than ``MAX_POOL_RESTARTS``
         recycles abandons the pool and finishes serially.
         """
+        n = len(items)
         done = [False] * n
         not_before = [0.0] * n  # earliest resubmission time (backoff)
         retries_used = 0
@@ -552,7 +472,9 @@ class ParallelExecutor:
                 break  # pool is unhealthy — degrade to the serial tail
             processes = min(self.workers, len(pending))
             try:
-                pool = context.Pool(processes=processes, initializer=_init_worker)
+                pool = multiprocessing.get_context("fork").Pool(
+                    processes=processes, initializer=_init_worker
+                )
             except OSError:
                 break  # cannot even fork — serial tail
             healthy = True
@@ -572,7 +494,9 @@ class ParallelExecutor:
                             continue
                         queue.popleft()
                         scanned = 0
-                        in_flight[index] = (submit(pool, index, attempts[index]), time.monotonic())
+                        task = (ref, spec, index, attempts[index], items[index])
+                        result = pool.apply_async(_run_spec_indexed, (task,))
+                        in_flight[index] = (result, time.monotonic())
                     progressed = False
                     for index in list(in_flight):
                         result, _started = in_flight[index]

@@ -18,11 +18,12 @@ contract around that fan-out.  :func:`run_grid` owns it once:
 * **timing** — a :class:`~repro.runtime.instrument.SweepTiming` covering
   the whole grid (loaded items report zero seconds).
 
+Every item is evaluated as ``runner(payload, item)`` through the one pool
+transport, :meth:`~repro.runtime.executor.ParallelExecutor.map_spec`.
 Records merge in grid order whatever order items finished in, and JSON
 round-trips them bit-exactly, so a resumed or pooled run is bit-identical
-to an uninterrupted serial one.  :func:`run_spec_grid` is the spec
-transport on top: the workload's plain-data payload plus a module-level
-evaluator, shipped through :meth:`ParallelExecutor.map_spec`.
+to an uninterrupted serial one.  :func:`run_spec_grid` adds the spec
+runners' shared cache argument on top.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ __all__ = ["run_grid", "run_spec_grid"]
 
 #: the supervisor's per-completion hook, ``on_result(local_index, value)``
 OnResult = Callable[[int, object], None]
-#: ``map_call(items, on_result) -> MapReport``: maps the pending items in order
-MapCall = Callable[[list, OnResult | None], MapReport]
 
 
 def _open_checkpoint(
@@ -56,15 +55,19 @@ def _open_checkpoint(
 def run_grid(
     key: Callable[[], str],
     items: Sequence[Any],
-    map_call: MapCall,
+    runner: Callable[[Any, Any], Any],
+    payload: Any = None,
+    executor: ParallelExecutor | None = None,
     *,
     checkpoint: "SweepCheckpoint | str | bool | None" = None,
     packets: int | None = None,
     batch_size: int | None = None,
 ) -> tuple[list[Any], SweepTiming]:
-    """Evaluate ``items`` through ``map_call`` with checkpoint/resume.
+    """Evaluate ``runner(payload, item)`` over ``items`` with checkpoint/resume.
 
-    ``key`` returns the grid's checkpoint key; it is called only when
+    The pending items go through ``executor.map_spec`` (default: the
+    ``REPRO_WORKERS``-configured ``ParallelExecutor()``).  ``key``
+    returns the grid's checkpoint key; it is called only when
     checkpointing is active (``checkpoint``: ``None`` defers to
     ``REPRO_CHECKPOINT``, ``False`` forces off, ``True`` / a string names
     the directory, a ready :class:`SweepCheckpoint` is used as is), so
@@ -90,8 +93,9 @@ def run_grid(
                 active.record(pending[local_index], value)
 
             on_result = _persist
+        ex = executor if executor is not None else ParallelExecutor()
         try:
-            report = map_call([items[i] for i in pending], on_result)
+            report = ex.map_spec(runner, payload, [items[i] for i in pending], on_result=on_result)
         except BaseException:
             # Keep whatever finished: an interrupted grid resumes from here.
             if ckpt is not None:
@@ -124,7 +128,7 @@ def run_spec_grid(
     cache: "ResultCache | str | bool | None" = None,
     checkpoint: "SweepCheckpoint | str | bool | None" = None,
 ) -> tuple[list[dict], SweepTiming]:
-    """:func:`run_grid` over the spec transport.
+    """:func:`run_grid` for the spec runners, which share a result cache.
 
     Workers receive ``{**payload, "cache": False | <root path>}`` and one
     item per task, and call ``runner(payload, item)``.  ``cache`` is
@@ -133,17 +137,13 @@ def run_spec_grid(
     key is ``stable_hash(key_doc)``; ``packets`` is the per-item packet
     count reported in the timing.
     """
-    ex = executor if executor is not None else ParallelExecutor.from_env()
     store = resolve_cache(cache)
-    shipped = {**payload, "cache": False if store is None else store.root}
-
-    def map_call(todo: list, on_result: OnResult | None) -> MapReport:
-        return ex.map_spec(runner, shipped, todo, on_result=on_result)
-
     return run_grid(
         lambda: stable_hash(key_doc),
         items,
-        map_call,
+        runner,
+        {**payload, "cache": False if store is None else store.root},
+        executor,
         checkpoint=checkpoint,
         packets=packets * len(items),
         batch_size=resolve_batch(),

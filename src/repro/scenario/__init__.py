@@ -14,9 +14,8 @@ description:
 ``run_scenario``
     Evaluates the grid into a tidy
     :class:`~repro.analysis.sweep.SweepResult`, fanning points out over
-    the ``REPRO_WORKERS`` pool through the spec-based transport — workers
-    rebuild the link and jammer from the spec, so nothing is shipped
-    through fork-inherited closures.
+    the ``REPRO_WORKERS`` pool through ``ParallelExecutor.map_spec`` —
+    workers rebuild the link and jammer from the spec.
 
 New jammers, channels, or operating points become a data change, not a
 code change: drop a JSON file and ``repro-bhss run --scenario file.json``.

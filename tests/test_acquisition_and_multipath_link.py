@@ -7,6 +7,7 @@ import pytest
 from repro.channel import MultipathChannel
 from repro.cli import main
 from repro.core import BHSSConfig, LinkSimulator
+from repro.runtime import ParallelExecutor
 from repro.spread import BPSKDSSS, acquire_code_phase, lfsr_sequence, random_pn_sequence
 
 
@@ -142,3 +143,24 @@ class TestCliSweep:
         text = open(path).read()
         assert text.startswith("sjr_db,per,per_lo,per_hi,ber")
         assert len(text.splitlines()) == 2
+
+    @pytest.mark.skipif(
+        not ParallelExecutor.fork_available(), reason="fork start method unavailable"
+    )
+    def test_hopping_sweep_identical_serial_and_pooled(self, tmp_path, monkeypatch, capsys):
+        # The hopping jammer is stateful: each grid point must build its
+        # own, or the serial run (one shared payload) would carry jammer
+        # state from point to point while pool workers start fresh.
+        def sweep(name):
+            path = str(tmp_path / name)
+            argv = [
+                "sweep", "--jammer", "hopping", "--packets", "3", "--payload-bytes", "4",
+                "--snr", "15", "--sjr-list", "0,-4,-8", "-o", path,
+            ]
+            assert main(argv) == 0
+            return open(path).read()
+
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        serial = sweep("serial.csv")
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        assert sweep("pooled.csv") == serial

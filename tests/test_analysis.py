@@ -74,6 +74,15 @@ class TestThresholdSearch:
         assert t_base > t_filt
 
 
+def _square_record(_payload, x):
+    return {"x": x, "y": x * x}
+
+
+def _sum_record(offset, point):
+    a, b = point  # tuple points arrive whole
+    return {"s": offset + a + b}
+
+
 class TestSweepResult:
     def test_add_and_columns(self):
         r = SweepResult(columns=("a", "b"))
@@ -100,12 +109,12 @@ class TestSweepResult:
         assert r.filtered(kind="x").column("v") == [1, 3]
 
     def test_run_sweep_scalars(self):
-        r = run_sweep(["x", "y"], [1, 2, 3], lambda x: {"x": x, "y": x * x})
+        r = run_sweep(["x", "y"], [1, 2, 3], _square_record)
         assert r.column("y") == [1, 4, 9]
 
     def test_run_sweep_tuples(self):
-        r = run_sweep(["s"], [(1, 2), (3, 4)], lambda a, b: {"s": a + b})
-        assert r.column("s") == [3, 7]
+        r = run_sweep(["s"], [(1, 2), (3, 4)], _sum_record, 10)
+        assert r.column("s") == [13, 17]
 
     def test_write_csv(self, tmp_path):
         r = SweepResult(columns=("a", "b"))

@@ -138,49 +138,79 @@ class TestSweepCheckpoint:
         assert make_checkpoint(ready, "k", 3) is ready
 
 
+# Module-level sweep evaluators: run_sweep re-imports them in pool workers.
+
+def _interrupt_at_three(seen, x):
+    seen.append(x)  # the serial path hands every point the same payload list
+    if x == 3.0 and len(seen) <= 4:
+        raise KeyboardInterrupt
+    return TestRunSweepResume._evaluate(None, x)
+
+
+def _counting(recomputed, x):
+    recomputed.append(x)
+    return TestRunSweepResume._evaluate(None, x)
+
+
+def _fail_at_four(_payload, x):
+    if x == 4.0:
+        raise ValueError("grid point is broken")
+    return TestRunSweepResume._evaluate(None, x)
+
+
+def _interrupt_at_two(_payload, x):
+    if x == 2.0:
+        raise KeyboardInterrupt
+    return TestRunSweepResume._evaluate(None, x)
+
+
+def _constant(_payload, _point):
+    return {"x": 1.0}
+
+
+def _mark_then_die(paths, x):
+    marks, armed = paths
+    open(os.path.join(marks, f"{int(x)}.{os.getpid()}.{time.monotonic_ns()}"), "w").close()
+    if x == 5.0 and os.path.exists(armed):
+        os.kill(os.getpid(), signal.SIGINT)  # die mid-task
+        time.sleep(10.0)  # never reached
+    return _scaled(None, x)
+
+
+def _scaled(_payload, x):
+    return {"x": x, "y": x * 0.375}
+
+
 class TestRunSweepResume:
     @staticmethod
     def _grid():
         return [float(i) for i in range(6)]
 
     @staticmethod
-    def _evaluate(x):
+    def _evaluate(_payload, x):
         return {"x": x, "y": x / 3.0}
 
     def test_interrupted_serial_sweep_resumes_bit_identically(self, tmp_path):
-        seen = []
-
-        def flaky(x):
-            seen.append(x)
-            if x == 3.0 and len(seen) <= 4:
-                raise KeyboardInterrupt
-            return self._evaluate(x)
-
+        seen: list = []
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(("x", "y"), self._grid(), flaky, checkpoint=str(tmp_path))
+            run_sweep(
+                ("x", "y"), self._grid(), _interrupt_at_three, seen, checkpoint=str(tmp_path)
+            )
         assert os.listdir(tmp_path)  # checkpoint survived the interrupt
 
-        recomputed = []
-
-        def counting(x):
-            recomputed.append(x)
-            return self._evaluate(x)
-
-        resumed = run_sweep(("x", "y"), self._grid(), counting, checkpoint=str(tmp_path))
+        recomputed: list = []
+        resumed = run_sweep(
+            ("x", "y"), self._grid(), _counting, recomputed, checkpoint=str(tmp_path)
+        )
         baseline = run_sweep(("x", "y"), self._grid(), self._evaluate, checkpoint=False)
         assert resumed.rows == baseline.rows
         assert recomputed == [3.0, 4.0, 5.0]  # finished points were not re-run
         assert os.listdir(tmp_path) == []  # completed sweep removes its file
 
     def test_terminal_failure_flushes_checkpoint(self, tmp_path):
-        def boom(x):
-            if x == 4.0:
-                raise ValueError("grid point is broken")
-            return self._evaluate(x)
-
         with pytest.raises(TaskFailure) as info:
             run_sweep(
-                ("x", "y"), self._grid(), boom,
+                ("x", "y"), self._grid(), _fail_at_four,
                 executor=ParallelExecutor(0, retries=0), checkpoint=str(tmp_path),
             )
         assert info.value.index == 4  # names the failing grid point
@@ -193,13 +223,8 @@ class TestRunSweepResume:
     def test_env_knob_enables_checkpointing(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CHECKPOINT", str(tmp_path))
 
-        def boom(x):
-            if x == 2.0:
-                raise KeyboardInterrupt
-            return self._evaluate(x)
-
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(("x", "y"), self._grid(), boom)
+            run_sweep(("x", "y"), self._grid(), _interrupt_at_two)
         assert os.listdir(tmp_path)
         result = run_sweep(("x", "y"), self._grid(), self._evaluate)
         baseline = run_sweep(("x", "y"), self._grid(), self._evaluate, checkpoint=False)
@@ -216,12 +241,9 @@ class TestRunSweepResume:
     def test_unhashable_grid_requires_explicit_key(self, tmp_path):
         grid = [object(), object()]
         with pytest.raises(ValueError, match="checkpoint_key"):
-            run_sweep(
-                ("x",), grid, lambda p: {"x": 1.0}, unpack=False, checkpoint=str(tmp_path)
-            )
+            run_sweep(("x",), grid, _constant, checkpoint=str(tmp_path))
         result = run_sweep(
-            ("x",), grid, lambda p: {"x": 1.0}, unpack=False,
-            checkpoint=str(tmp_path), checkpoint_key="objects-run",
+            ("x",), grid, _constant, checkpoint=str(tmp_path), checkpoint_key="objects-run"
         )
         assert result.column("x") == [1.0, 1.0]
 
@@ -266,24 +288,15 @@ class TestParallelInterrupt:
         armed = tmp_path / "armed"
         armed.touch()
         grid = [float(i) for i in range(8)]
-
-        def evaluate(x):
-            (marks / f"{int(x)}.{os.getpid()}.{time.monotonic_ns()}").touch()
-            if x == 5.0 and armed.exists():
-                os.kill(os.getpid(), signal.SIGINT)  # die mid-task
-                time.sleep(10.0)  # never reached
-            return {"x": x, "y": x * 0.375}
+        paths = (str(marks), str(armed))
 
         with pytest.raises(TaskFailure):
             run_sweep(
-                ("x", "y"), grid, evaluate,
+                ("x", "y"), grid, _mark_then_die, paths,
                 executor=ParallelExecutor(2, retries=0),
                 checkpoint=str(ckdir), checkpoint_key="interrupt-run",
             )
-        # pool torn down cleanly: payload cleared, no stray children
-        from repro.runtime import executor as executor_module
-
-        assert executor_module._WORKER_PAYLOAD is None
+        # pool torn down cleanly: no stray children
         deadline = time.monotonic() + 5.0
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.02)
@@ -299,13 +312,11 @@ class TestParallelInterrupt:
         for mark in marks.iterdir():
             mark.unlink()
         resumed = run_sweep(
-            ("x", "y"), grid, evaluate,
+            ("x", "y"), grid, _mark_then_die, paths,
             executor=ParallelExecutor(2, retries=0),
             checkpoint=str(ckdir), checkpoint_key="interrupt-run",
         )
-        baseline = run_sweep(
-            ("x", "y"), grid, lambda x: {"x": x, "y": x * 0.375}, checkpoint=False
-        )
+        baseline = run_sweep(("x", "y"), grid, _scaled, checkpoint=False)
         assert resumed.rows == baseline.rows
         recomputed = {int(name.split(".")[0]) for name in os.listdir(marks)}
         assert recomputed.isdisjoint(done)  # only unfinished points re-ran

@@ -43,6 +43,50 @@ def _no_ambient_faults(monkeypatch):
         monkeypatch.delenv(var, raising=False)
 
 
+# Module-level pool runners: map_spec re-imports them in the workers.
+
+def _identity(_payload, x):
+    return x
+
+
+def _times(k, x):
+    return x * k
+
+
+def _plus(k, x):
+    return x + k
+
+
+def _append_then_interrupt(calls, x):
+    calls.append(x)  # the serial path hands every item the same payload list
+    raise KeyboardInterrupt
+
+
+def _fail_on_two(_payload, x):
+    if x == 2:
+        raise ValueError("bad point")
+    return x
+
+
+def _sleep_in_workers(seconds, x):
+    from repro.runtime import executor as executor_module
+
+    if executor_module._IN_WORKER:
+        time.sleep(seconds)
+    return x
+
+
+def _die_on_one(_payload, x):
+    if x == 1:
+        os._exit(17)
+    return x
+
+
+def _sum_record(_payload, point):
+    a, b = point
+    return {"a": a, "b": b, "s": a + b}
+
+
 def crashing_seed(n_tasks: int, probability: float = 0.5, kind: str = "crash") -> int:
     """A fault seed under which at least one of ``n_tasks`` draws fires."""
     for seed in range(1000):
@@ -185,32 +229,22 @@ class TestResolvers:
 class TestSerialRecovery:
     def test_crash_faults_recover_bit_identically(self, monkeypatch):
         items = list(range(8))
-        baseline = ParallelExecutor(0).map(lambda x: x * 1.5, items)
+        baseline = ParallelExecutor(0).map_spec(_times, 1.5, items).values
         seed = crashing_seed(len(items))
         monkeypatch.setenv("REPRO_FAULTS", f"crash:0.5,seed:{seed}")
-        report = ParallelExecutor(0, retries=2).map_timed(lambda x: x * 1.5, items)
-        assert list(report.values) == baseline
+        report = ParallelExecutor(0, retries=2).map_spec(_times, 1.5, items)
+        assert report.values == baseline
         assert report.retries > 0
 
     def test_keyboard_interrupt_is_never_retried(self):
-        calls = []
-
-        def fn(x):
-            calls.append(x)
-            raise KeyboardInterrupt
-
+        calls: list = []
         with pytest.raises(KeyboardInterrupt):
-            ParallelExecutor(0, retries=5).map(fn, [1, 2, 3])
+            ParallelExecutor(0, retries=5).map_spec(_append_then_interrupt, calls, [1, 2, 3])
         assert calls == [1]
 
     def test_terminal_task_error_carries_index_and_cause(self):
-        def boom(x):
-            if x == 2:
-                raise ValueError("bad point")
-            return x
-
         with pytest.raises(TaskError) as info:
-            ParallelExecutor(0, retries=1).map(boom, [0, 1, 2, 3])
+            ParallelExecutor(0, retries=1).map_spec(_fail_on_two, None, [0, 1, 2, 3])
         assert info.value.index == 2
         assert info.value.attempts == 2
         assert isinstance(info.value.__cause__, ValueError)
@@ -220,7 +254,7 @@ class TestSerialRecovery:
     def test_terminal_injected_crash_is_worker_crash(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "crash:1.0")
         with pytest.raises(WorkerCrash) as info:
-            ParallelExecutor(0, retries=0).map(lambda x: x, [0, 1])
+            ParallelExecutor(0, retries=0).map_spec(_identity, None, [0, 1])
         assert info.value.index == 0
         assert info.value.attempts == 1
 
@@ -229,69 +263,47 @@ class TestSerialRecovery:
 class TestPoolRecovery:
     def test_crash_faults_recover_bit_identically(self, monkeypatch):
         items = list(range(10))
-        baseline = ParallelExecutor(0).map(lambda x: x + 0.25, items)
+        baseline = ParallelExecutor(0).map_spec(_plus, 0.25, items).values
         seed = crashing_seed(len(items))
         monkeypatch.setenv("REPRO_FAULTS", f"crash:0.5,seed:{seed}")
-        report = ParallelExecutor(3, retries=2).map_timed(lambda x: x + 0.25, items)
-        assert list(report.values) == baseline
+        report = ParallelExecutor(3, retries=2).map_spec(_plus, 0.25, items)
+        assert report.values == baseline
         assert report.retries > 0
 
     def test_hang_faults_recover_via_timeout(self, monkeypatch):
         items = list(range(6))
-        baseline = ParallelExecutor(0).map(lambda x: x * 3, items)
+        baseline = ParallelExecutor(0).map_spec(_times, 3, items).values
         seed = crashing_seed(len(items), kind="hang")
         monkeypatch.setenv("REPRO_FAULTS", f"hang:0.5,hang-seconds:5,seed:{seed}")
-        report = ParallelExecutor(2, timeout=0.3, retries=2).map_timed(lambda x: x * 3, items)
-        assert list(report.values) == baseline
+        report = ParallelExecutor(2, timeout=0.3, retries=2).map_spec(_times, 3, items)
+        assert report.values == baseline
         assert report.retries > 0
 
     def test_timeout_terminal_is_task_timeout(self):
-        def slow_in_workers(x):
-            from repro.runtime import executor as executor_module
-
-            if executor_module._IN_WORKER:
-                time.sleep(5.0)
-            return x
-
         with pytest.raises(TaskTimeout) as info:
-            ParallelExecutor(2, timeout=0.2, retries=0).map(slow_in_workers, [0, 1, 2])
+            ParallelExecutor(2, timeout=0.2, retries=0).map_spec(_sleep_in_workers, 5.0, [0, 1, 2])
         assert info.value.timeout == 0.2
         assert info.value.attempts == 1
 
     def test_dead_child_is_worker_crash(self):
-        def die(x):
-            if x == 1:
-                os._exit(17)
-            return x
-
         with pytest.raises(WorkerCrash):
-            ParallelExecutor(2, retries=0).map(die, [0, 1, 2])
+            ParallelExecutor(2, retries=0).map_spec(_die_on_one, None, [0, 1, 2])
 
     def test_unhealthy_pool_degrades_to_serial(self):
         # Hang in pool workers on *every* attempt: timeouts burn pool
         # restarts until the supervisor abandons the pool, and the serial
         # tail (where _IN_WORKER is false) must still finish the map.
-        def hang_in_workers(x):
-            from repro.runtime import executor as executor_module
-
-            if executor_module._IN_WORKER:
-                time.sleep(30.0)
-            return x * 7
-
-        report = ParallelExecutor(2, timeout=0.2, retries=100).map_timed(
-            hang_in_workers, list(range(4))
+        report = ParallelExecutor(2, timeout=0.2, retries=100).map_spec(
+            _sleep_in_workers, 30.0, list(range(4))
         )
-        assert list(report.values) == [0, 7, 14, 21]
+        assert report.values == (0, 1, 2, 3)
 
     def test_supervisor_interrupt_tears_down_pool(self):
         def interrupt(_index, _value):
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            ParallelExecutor(2).map_timed(lambda x: x, range(8), on_result=interrupt)
-        from repro.runtime import executor as executor_module
-
-        assert executor_module._WORKER_PAYLOAD is None
+            ParallelExecutor(2).map_spec(_identity, None, range(8), on_result=interrupt)
         deadline = time.monotonic() + 5.0
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.02)
@@ -365,15 +377,11 @@ class TestFaultedScenarioBitIdentity:
 
     def test_raw_grid_sweep_identical_under_faults(self, monkeypatch):
         grid = [(float(i), float(i) / 2) for i in range(7)]
-
-        def evaluate(a, b):
-            return {"a": a, "b": b, "s": a + b}
-
-        baseline = run_sweep(("a", "b", "s"), grid, evaluate, executor=ParallelExecutor(0))
+        baseline = run_sweep(("a", "b", "s"), grid, _sum_record, executor=ParallelExecutor(0))
         seed = crashing_seed(len(grid))
         monkeypatch.setenv("REPRO_FAULTS", f"crash:0.5,seed:{seed}")
         faulted = run_sweep(
-            ("a", "b", "s"), grid, evaluate, executor=ParallelExecutor(0, retries=2)
+            ("a", "b", "s"), grid, _sum_record, executor=ParallelExecutor(0, retries=2)
         )
         assert faulted.rows == baseline.rows
         assert faulted.timing is not None

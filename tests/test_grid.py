@@ -21,7 +21,6 @@ from repro.network import NetworkSpec, run_network
 from repro.protocol import SessionSpec, run_session
 from repro.runtime import (
     FaultPlan,
-    MapReport,
     ParallelExecutor,
     ResultCache,
     TaskFailure,
@@ -50,11 +49,6 @@ class Spy(ParallelExecutor):
         super().__init__(0, timeout=0, retries=0)
         self.mapped = []
 
-    def map_timed(self, fn, items, **kwargs):
-        items = list(items)
-        self.mapped.append(items)
-        return super().map_timed(fn, items, **kwargs)
-
     def map_spec(self, runner, spec, items, **kwargs):
         items = list(items)
         self.mapped.append(items)
@@ -65,12 +59,15 @@ def _example(cls, name, **changes):
     return dataclasses.replace(cls.load(os.path.join(EXAMPLES, name)), **changes)
 
 
+def _third(_payload, x):
+    return {"x": x, "y": x / 3.0}
+
+
 def _sweep_case():
     grid = [0.0, 1.0, 2.0, 3.0]
 
     def run(executor, checkpoint):
-        evaluate = lambda x: {"x": x, "y": x / 3.0}  # noqa: E731
-        return run_sweep(("x", "y"), grid, evaluate, executor=executor, checkpoint=checkpoint).rows
+        return run_sweep(("x", "y"), grid, _third, executor=executor, checkpoint=checkpoint).rows
 
     return run, grid
 
@@ -156,46 +153,41 @@ def test_terminal_failure_checkpoints_and_resumes(case, tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
-class TestRunGrid:
-    @staticmethod
-    def _map(todo, on_result):
-        values = []
-        for i, item in enumerate(todo):
-            values.append({"v": item})
-            if on_result is not None:
-                on_result(i, values[-1])
-        return MapReport(
-            values=tuple(values), seconds=(1.0,) * len(todo), wall_seconds=2.0, workers=1
-        )
+def _value(seen, item):
+    seen.append(item)  # the serial path hands every item the same payload list
+    return {"v": item}
 
+
+def _interrupt_after_first(_payload, item):
+    if item != 5:
+        raise KeyboardInterrupt
+    return {"v": item}
+
+
+class TestRunGrid:
     def test_key_is_not_computed_without_a_checkpoint(self):
         def key():
             raise AssertionError("key computed for an uncheckpointed grid")
 
-        records, timing = run_grid(key, [1, 2], self._map, checkpoint=False)
+        records, timing = run_grid(key, [1, 2], _value, [], Spy(), checkpoint=False)
         assert records == [{"v": 1}, {"v": 2}]
-        assert timing.point_seconds == (1.0, 1.0)
+        assert len(timing.point_seconds) == 2
         assert timing.packets is None and timing.batch_size is None
 
     def test_resume_maps_only_pending_items(self, tmp_path):
-        seen = []
-
-        def interrupted(todo, on_result):
-            on_result(0, {"v": todo[0]})
-            raise KeyboardInterrupt
-
-        def counting(todo, on_result):
-            seen.extend(todo)
-            return self._map(todo, on_result)
-
         with pytest.raises(KeyboardInterrupt):
-            run_grid(lambda: "grid-key", [5, 6, 7], interrupted, checkpoint=str(tmp_path))
+            run_grid(
+                lambda: "grid-key", [5, 6, 7], _interrupt_after_first, None, Spy(),
+                checkpoint=str(tmp_path),
+            )
+        seen: list = []
         records, timing = run_grid(
-            lambda: "grid-key", [5, 6, 7], counting, checkpoint=str(tmp_path), packets=9
+            lambda: "grid-key", [5, 6, 7], _value, seen, Spy(),
+            checkpoint=str(tmp_path), packets=9,
         )
         assert seen == [6, 7]
         assert records == [{"v": 5}, {"v": 6}, {"v": 7}]
-        assert timing.point_seconds == (0.0, 1.0, 1.0)  # loaded points cost nothing
+        assert timing.point_seconds[0] == 0.0  # loaded points cost nothing
         assert timing.packets == 9
         assert os.listdir(tmp_path) == []
 

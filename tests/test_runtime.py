@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import run_sweep
-from repro.core import BHSSConfig, LinkSimulator
+from repro.core import BHSSConfig, ControlLogic, LinkSimulator
+from repro.core.receiver import BHSSReceiver
 from repro.jamming import BandlimitedNoiseJammer, HoppingJammer
 from repro.runtime import (
     MapReport,
@@ -27,11 +28,50 @@ def make_link(**kw):
     return LinkSimulator(BHSSConfig.paper_default(payload_bytes=4, seed=21, **kw))
 
 
+# Module-level pool runners: map_spec re-imports them in the workers.
+
+def _identity(_payload, x):
+    return x
+
+
+def _square(_payload, x):
+    return x * x
+
+
+def _boom(_payload, _x):
+    raise RuntimeError("worker failure")
+
+
+def _nested_probe(_payload, _x):
+    from repro.runtime import executor as executor_module
+
+    # Inside a pool worker the module flag is set and any nested
+    # executor must take the serial path.
+    return executor_module._IN_WORKER and not ParallelExecutor(8).parallel
+
+
+def _x_record(_payload, x):
+    return {"x": x}
+
+
+def _bracket_record(_payload, p):
+    return {"bracket": p, "width": p[1] - p[0]}
+
+
+def _link_sweep_point(link, snr):
+    stats = link.run_packets(
+        3, snr_db=snr, sjr_db=-6.0,
+        jammer=BandlimitedNoiseJammer(2.5e6, 20e6), seed=4,
+        executor=ParallelExecutor(0), cache=False,
+    )
+    return {"snr": snr, "per": stats.packet_error_rate, "ber": stats.bit_error_rate}
+
+
 class TestResolveWorkers:
     def test_unset_means_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert resolve_workers() == 0
-        assert not ParallelExecutor.from_env().parallel
+        assert not ParallelExecutor().parallel
 
     def test_explicit_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "4")
@@ -54,47 +94,30 @@ class TestResolveWorkers:
 class TestParallelExecutor:
     def test_serial_map_order(self):
         ex = ParallelExecutor(0)
-        assert ex.map(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
+        assert ex.map_spec(_square, None, [3, 1, 2]).values == (9, 1, 4)
 
     def test_empty_items(self):
-        report = ParallelExecutor(2).map_timed(lambda x: x, [])
+        report = ParallelExecutor(2).map_spec(_identity, None, [])
         assert report.values == ()
         assert report.wall_seconds == 0.0
 
     @needs_fork
-    def test_pool_map_matches_serial_with_closure(self):
-        offset = 7  # captured by the closure — unpicklable transports fail here
-        fn = lambda x: x + offset
-        items = list(range(23))
-        assert ParallelExecutor(3).map(fn, items) == ParallelExecutor(0).map(fn, items)
-
-    @needs_fork
     def test_pool_preserves_input_order(self):
         items = list(range(17))
-        assert ParallelExecutor(4).map(lambda x: x, items) == items
+        assert ParallelExecutor(4).map_spec(_identity, None, items).values == tuple(items)
 
     @needs_fork
     def test_pool_worker_exception_propagates(self):
-        def boom(x):
-            raise RuntimeError("worker failure")
-
         with pytest.raises(RuntimeError):
-            ParallelExecutor(2).map(boom, [1, 2, 3])
+            ParallelExecutor(2).map_spec(_boom, None, [1, 2, 3])
 
     @needs_fork
     def test_no_nested_pools(self):
-        from repro.runtime import executor as executor_module
-
-        def probe(_x):
-            # Inside a pool worker the module flag is set and any nested
-            # executor must take the serial path.
-            return executor_module._IN_WORKER and not ParallelExecutor(8).parallel
-
-        flags = ParallelExecutor(2).map(probe, [0, 1, 2])
+        flags = ParallelExecutor(2).map_spec(_nested_probe, None, [0, 1, 2]).values
         assert all(flags)
 
     def test_map_timed_report(self):
-        report = ParallelExecutor(0).map_timed(lambda x: x, [1, 2])
+        report = ParallelExecutor(0).map_spec(_identity, None, [1, 2])
         assert isinstance(report, MapReport)
         assert len(report.seconds) == 2
         assert report.workers == 1
@@ -200,6 +223,22 @@ class TestLinkParallelEquivalence:
         )
         assert a == b  # pooled call fell back to the ordered serial loop
 
+    @needs_fork
+    def test_pool_ships_the_live_link(self):
+        # ablation_filters swaps the receiver after construction; the pool
+        # must run that very link, not one rebuilt from its config.
+        cfg = BHSSConfig.paper_default(payload_bytes=4, seed=21, fixed_bandwidth=10e6)
+        link = LinkSimulator(cfg)
+        control = ControlLogic(sample_rate=cfg.sample_rate, pulse=cfg.pulse, peak_margin_db=500.0)
+        link.receiver = BHSSReceiver(cfg, control=control)
+        run = lambda lnk, workers: lnk.run_packets(
+            6, snr_db=15.0, sjr_db=-10.0, jammer=BandlimitedNoiseJammer(0.625e6, 20e6),
+            seed=2, executor=ParallelExecutor(workers), cache=False,
+        )
+        serial = run(link, 0)
+        assert run(link, 2) == serial
+        assert run(LinkSimulator(cfg), 0).filter_usage != serial.filter_usage
+
     def test_chunk_bounds_cover_range(self):
         bounds = LinkSimulator._chunk_bounds(10, 3)
         assert bounds[0][0] == 0 and bounds[-1][1] == 10
@@ -249,23 +288,15 @@ class TestSweepParallelEquivalence:
     @needs_fork
     def test_link_sweep_rows_identical(self):
         link = make_link()
-
-        def evaluate(snr):
-            stats = link.run_packets(
-                3, snr_db=snr, sjr_db=-6.0,
-                jammer=BandlimitedNoiseJammer(2.5e6, 20e6), seed=4,
-                executor=ParallelExecutor(0), cache=False,
-            )
-            return {"snr": snr, "per": stats.packet_error_rate, "ber": stats.bit_error_rate}
-
         grid = [0.0, 5.0, 10.0, 15.0]
-        serial = run_sweep(["snr", "per", "ber"], grid, evaluate, executor=ParallelExecutor(0))
-        pooled = run_sweep(["snr", "per", "ber"], grid, evaluate, executor=ParallelExecutor(4))
+        columns = ["snr", "per", "ber"]
+        serial = run_sweep(columns, grid, _link_sweep_point, link, executor=ParallelExecutor(0))
+        pooled = run_sweep(columns, grid, _link_sweep_point, link, executor=ParallelExecutor(4))
         assert serial.rows == pooled.rows
         assert serial == pooled  # timing differs but is excluded from equality
 
     def test_timing_attached(self):
-        result = run_sweep(["x"], [1, 2, 3], lambda x: {"x": x}, executor=ParallelExecutor(0))
+        result = run_sweep(["x"], [1, 2, 3], _x_record, executor=ParallelExecutor(0))
         assert isinstance(result.timing, SweepTiming)
         assert result.timing.num_points == 3
         assert result.timing.wall_seconds > 0
@@ -274,20 +305,16 @@ class TestSweepParallelEquivalence:
 
     def test_tuple_scalar_points_not_splatted_with_unpack_false(self):
         # Regression: a grid of (lo, hi) bracket "scalars" used to be
-        # silently splatted into evaluate(lo, hi).
+        # silently splatted into evaluate(lo, hi); points now always
+        # arrive whole.
         grid = [(0.0, 1.0), (2.0, 5.0)]
-        result = run_sweep(
-            ["bracket", "width"],
-            grid,
-            lambda p: {"bracket": p, "width": p[1] - p[0]},
-            unpack=False,
-        )
+        result = run_sweep(["bracket", "width"], grid, _bracket_record)
         assert result.column("bracket") == grid
         assert result.column("width") == [1.0, 3.0]
 
-    def test_unpack_default_still_splats(self):
-        result = run_sweep(["s"], [(1, 2), (3, 4)], lambda a, b: {"s": a + b})
-        assert result.column("s") == [3, 7]
+    def test_closure_evaluator_rejected(self):
+        with pytest.raises(ValueError, match="spec runner"):
+            run_sweep(["x"], [1, 2], lambda _payload, x: {"x": x})
 
 
 class TestSweepTiming:
