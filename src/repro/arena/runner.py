@@ -62,14 +62,7 @@ def _cell_record(
         "throughput_bps": stats.throughput_bps,
         # The raw counters, so callers (and the equivalence wall) can
         # reconstruct the exact LinkStats from a record or cache entry.
-        "stats": {
-            "num_packets": stats.num_packets,
-            "num_accepted": stats.num_accepted,
-            "total_bits": stats.total_bits,
-            "bit_errors": stats.bit_errors,
-            "data_rate_bps": stats.data_rate_bps,
-            "filter_usage": dict(stats.filter_usage),
-        },
+        "stats": stats.counters(),
     }
 
 

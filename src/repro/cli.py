@@ -59,14 +59,13 @@ names).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.analysis import SweepResult, ThresholdSearch, min_snr_for_per, run_sweep, write_csv
-from repro.arena import ArenaError, ArenaSpec, TournamentResult, run_tournament
+from repro.arena import ArenaSpec, TournamentResult, run_tournament
 from repro.core import BHSSConfig, BHSSTransmitter, LinkSimulator, theory
 from repro.hopping import (
     expected_bandwidth,
@@ -82,10 +81,11 @@ from repro.jamming import (
     SweepJammer,
     ToneJammer,
 )
-from repro.network import NetworkError, NetworkResult, NetworkSpec, run_network
-from repro.protocol import SessionError, SessionSpec, run_session
-from repro.scenario import Scenario, ScenarioError, run_scenario
+from repro.network import NetworkResult, NetworkSpec, run_network
+from repro.protocol import SessionSpec, run_session
+from repro.scenario import Scenario, run_scenario
 from repro.utils import format_table, save_recording
+from repro.utils.specfile import SpecError, read_json
 
 __all__ = ["main", "build_parser"]
 
@@ -423,7 +423,6 @@ class Workload:
 
     help: str
     spec: Any
-    error: type[Exception]
     runner: Callable[..., Any]
     size: Callable[[Any], str]
     title: str
@@ -441,7 +440,6 @@ WORKLOADS: dict[str, Workload] = {
     "scenario": Workload(
         help="scenario JSON file",
         spec=Scenario,
-        error=ScenarioError,
         runner=run_scenario,
         size=_scenario_size,
         title="scenario",
@@ -453,7 +451,6 @@ WORKLOADS: dict[str, Workload] = {
     "network": Workload(
         help="N-link network JSON file (see repro.network.NetworkSpec)",
         spec=NetworkSpec,
-        error=NetworkError,
         runner=run_network,
         size=_network_size,
         title="network",
@@ -466,7 +463,6 @@ WORKLOADS: dict[str, Workload] = {
     "tournament": Workload(
         help="jammer-tournament arena JSON file (see repro.arena.ArenaSpec)",
         spec=ArenaSpec,
-        error=ArenaError,
         runner=run_tournament,
         size=lambda a: (
             f"{len(a.jammers)} jammers x {len(a.patterns)} patterns x "
@@ -484,7 +480,6 @@ WORKLOADS: dict[str, Workload] = {
     "session": Workload(
         help="seed-synchronized session JSON file (see repro.protocol.SessionSpec)",
         spec=SessionSpec,
-        error=SessionError,
         runner=run_session,
         size=lambda s: (
             f"{len(s.points())} operating points, "
@@ -509,10 +504,6 @@ WORKLOADS: dict[str, Workload] = {
     ),
 }
 
-#: every loader's validation error, for commands that read any kind of file
-_SPEC_ERRORS = tuple(w.error for w in WORKLOADS.values())
-
-
 def spec_kind(data: object) -> str:
     """The :data:`WORKLOADS` kind of a parsed spec file.
 
@@ -529,16 +520,12 @@ def spec_kind(data: object) -> str:
 
 
 def _load_spec_file(path: str) -> tuple[Workload, Any]:
-    """The workload and loaded spec of one file (raises the kind's error).
+    """The workload and loaded spec of one file (raises :class:`SpecError`).
 
-    The file is parsed once; an unreadable or unparsable file goes to the
-    scenario loader, whose error message names the problem.
+    The file is parsed once; until its kind is known, read errors name it
+    a scenario file.
     """
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return WORKLOADS["scenario"], Scenario.load(path)
+    data = read_json(path, "scenario")
     workload = WORKLOADS[spec_kind(data)]
     return workload, workload.spec.from_dict(data, source=path)
 
@@ -556,7 +543,7 @@ def cmd_run(args) -> int:
     workload = WORKLOADS[kind]
     try:
         spec = workload.spec.load(getattr(args, kind))
-    except workload.error as exc:
+    except SpecError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     label = f" — {spec.description}" if spec.description else ""
@@ -600,7 +587,7 @@ def cmd_scenario_validate(args) -> int:
     for path in files:
         try:
             workload, spec = _load_spec_file(path)
-        except _SPEC_ERRORS as exc:
+        except SpecError as exc:
             failures += 1
             print(f"FAIL  {exc}")
             continue
@@ -618,7 +605,7 @@ def cmd_scenario_list(args) -> int:
     for path in files:
         try:
             workload, spec = _load_spec_file(path)
-        except _SPEC_ERRORS:
+        except SpecError:
             rows.append([os.path.basename(path), "(invalid)", "-", "-", "-"])
             continue
         rows.append(

@@ -76,6 +76,21 @@ class LinkStats:
             return 0.0
         return 1.0 - self.num_accepted / self.num_packets
 
+    def counters(self) -> dict:
+        """The constructor fields, so ``LinkStats(**s.counters()) == s``.
+
+        This is the cache value and the ``"stats"`` entry of network and
+        arena records; its key order is part of their byte layout.
+        """
+        return {
+            "num_packets": self.num_packets,
+            "num_accepted": self.num_accepted,
+            "total_bits": self.total_bits,
+            "bit_errors": self.bit_errors,
+            "data_rate_bps": self.data_rate_bps,
+            "filter_usage": dict(self.filter_usage),
+        }
+
     def to_dict(self) -> dict:
         """Flat JSON-friendly dict of counts and derived rates."""
         lo, hi = self.per_confidence_interval()
@@ -311,7 +326,7 @@ class LinkSimulator:
             filter_usage=usage,
         )
         if key is not None:
-            store.put(key, self._stats_payload(stats))
+            store.put(key, stats.counters())
         return stats
 
     def _stats_cache_key(
@@ -342,17 +357,6 @@ class LinkSimulator:
             "seed": int(seed),
             "payload": canonical(payload),
             "jammer_delay_samples": int(jammer_delay_samples),
-        }
-
-    @staticmethod
-    def _stats_payload(stats: LinkStats) -> dict:
-        return {
-            "num_packets": stats.num_packets,
-            "num_accepted": stats.num_accepted,
-            "total_bits": stats.total_bits,
-            "bit_errors": stats.bit_errors,
-            "data_rate_bps": stats.data_rate_bps,
-            "filter_usage": stats.filter_usage,
         }
 
     def run_packets_batched(
@@ -457,7 +461,7 @@ class LinkSimulator:
             filter_usage=usage,
         )
         if key is not None:
-            store.put(key, self._stats_payload(stats))
+            store.put(key, stats.counters())
         return stats
 
     @staticmethod

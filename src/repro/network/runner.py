@@ -57,14 +57,7 @@ def _stats_record(name: str, link_snr_db: float, link_sjr_db: float, stats: Link
         "throughput_bps": stats.throughput_bps,
         # The raw counters, so callers (and the equivalence wall) can
         # reconstruct the exact LinkStats from a record or cache entry.
-        "stats": {
-            "num_packets": stats.num_packets,
-            "num_accepted": stats.num_accepted,
-            "total_bits": stats.total_bits,
-            "bit_errors": stats.bit_errors,
-            "data_rate_bps": stats.data_rate_bps,
-            "filter_usage": dict(stats.filter_usage),
-        },
+        "stats": stats.counters(),
     }
 
 

@@ -28,9 +28,8 @@ a pool worker rebuilds carries the same budget the parent resolved.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -40,6 +39,15 @@ from repro.jamming.registry import jammer_from_spec
 from repro.protocol.hopseed import seed_generator_from_spec
 from repro.protocol.packetizer import HEADER_BYTES, MIN_MTU
 from repro.utils.rng import child_rng
+from repro.utils.specfile import (
+    NO_JAMMER,
+    SpecError,
+    SpecFile,
+    flatten_grid,
+    grid_values,
+    require_int,
+    require_number,
+)
 
 if TYPE_CHECKING:
     from repro.analysis.sweep import SweepResult
@@ -57,57 +65,32 @@ __all__ = [
 #: a handshake chunk carries the epoch (4 bytes) + seed commitment (4 bytes)
 HANDSHAKE_CHUNK_BYTES = 8
 
+#: the spec-file error, under the name this family has always exported
+SessionError = SpecError
 
-class SessionError(ValueError):
-    """A session spec failed validation; the message names the field."""
+
+def _sync_knob(env: str, default: int) -> int:
+    """A positive integer from environment variable ``env``; ``default`` when unset."""
+    raw = os.environ.get(env)
+    if raw is None or not raw.strip():
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise SessionError(f"{env} must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise SessionError(f"{env} must be >= 1, got {value}")
+    return value
 
 
 def default_sync_retries() -> int:
     """The ``REPRO_SYNC_RETRIES`` re-sync round budget (default 3)."""
-    raw = os.environ.get("REPRO_SYNC_RETRIES")
-    if raw is None or not raw.strip():
-        return 3
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SessionError(f"REPRO_SYNC_RETRIES must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise SessionError(f"REPRO_SYNC_RETRIES must be >= 1, got {value}")
-    return value
+    return _sync_knob("REPRO_SYNC_RETRIES", 3)
 
 
 def default_sync_timeout() -> int:
     """The ``REPRO_SYNC_TIMEOUT`` handshake attempts per round (default 4)."""
-    raw = os.environ.get("REPRO_SYNC_TIMEOUT")
-    if raw is None or not raw.strip():
-        return 4
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SessionError(f"REPRO_SYNC_TIMEOUT must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise SessionError(f"REPRO_SYNC_TIMEOUT must be >= 1, got {value}")
-    return value
-
-
-def _require_int(value: Any, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SessionError(f"{path}: must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise SessionError(f"{path}: must be >= {minimum}, got {value}")
-    return value
-
-
-def _require_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SessionError(f"{path}: must be a number, got {value!r}")
-    return float(value)
-
-
-def _grid_values(values: object, path: str) -> tuple[float, ...]:
-    if not isinstance(values, (list, tuple)) or not values:
-        raise SessionError(f"{path}: must be a non-empty list of numbers")
-    return tuple(_require_number(v, f"{path}[{i}]") for i, v in enumerate(values))
+    return _sync_knob("REPRO_SYNC_TIMEOUT", 4)
 
 
 @dataclass(frozen=True)
@@ -125,13 +108,13 @@ class MessageTrafficSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_int(self.num_messages, "traffic.num_messages", minimum=1)
+        require_int(self.num_messages, "traffic.num_messages", minimum=1)
         if self.num_messages > 256:
             raise SessionError(
                 f"traffic.num_messages: at most 256 (one id byte), got {self.num_messages}"
             )
-        _require_int(self.message_bytes, "traffic.message_bytes", minimum=1)
-        _require_int(self.seed, "traffic.seed")
+        require_int(self.message_bytes, "traffic.message_bytes", minimum=1)
+        require_int(self.seed, "traffic.seed")
 
     def messages(self) -> list[bytes]:
         """The session's message payloads, in transmission order."""
@@ -165,7 +148,7 @@ class MessageTrafficSpec:
 
 
 @dataclass(frozen=True)
-class SessionSpec:
+class SessionSpec(SpecFile):
     """A complete, serializable seed-synchronized session.
 
     Attributes
@@ -212,7 +195,7 @@ class SessionSpec:
     name: str
     config: BHSSConfig = field(default_factory=BHSSConfig.paper_default)
     traffic: MessageTrafficSpec = field(default_factory=MessageTrafficSpec)
-    jammer: dict = field(default_factory=lambda: {"type": "none"})
+    jammer: dict = field(default_factory=lambda: dict(NO_JAMMER))
     seed_generator: dict = field(default_factory=lambda: {"type": "counter", "key": 0})
     snr_db: tuple[float, ...] = (15.0,)
     sjr_db: tuple[float, ...] = (-10.0,)
@@ -226,9 +209,16 @@ class SessionSpec:
     max_slots: int = 0
     description: str = ""
 
+    KIND = "session"
+    FIELDS = frozenset({
+        "name", "description", "config", "traffic", "jammer", "seed_generator",
+        "grid", "seed", "packets_per_epoch", "crc_fail_threshold",
+        "min_epoch_utilization", "resync_retries", "sync_timeout",
+        "backoff_base", "max_slots",
+    })
+
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise SessionError("name: must be a non-empty string")
+        super().__post_init__()
         if not isinstance(self.config, BHSSConfig):
             raise SessionError("config: must be a BHSSConfig (use from_dict for specs)")
         if not isinstance(self.traffic, MessageTrafficSpec):
@@ -237,12 +227,12 @@ class SessionSpec:
             raise SessionError("jammer: must be a registry spec mapping")
         if not isinstance(self.seed_generator, dict):
             raise SessionError("seed_generator: must be a registry spec mapping")
-        object.__setattr__(self, "snr_db", _grid_values(self.snr_db, "grid.snr_db"))
-        object.__setattr__(self, "sjr_db", _grid_values(self.sjr_db, "grid.sjr_db"))
-        _require_int(self.seed, "seed")
-        _require_int(self.packets_per_epoch, "packets_per_epoch", minimum=1)
-        _require_int(self.crc_fail_threshold, "crc_fail_threshold", minimum=1)
-        utilization = _require_number(self.min_epoch_utilization, "min_epoch_utilization")
+        object.__setattr__(self, "snr_db", grid_values(self.snr_db, "grid.snr_db"))
+        object.__setattr__(self, "sjr_db", grid_values(self.sjr_db, "grid.sjr_db"))
+        require_int(self.seed, "seed")
+        require_int(self.packets_per_epoch, "packets_per_epoch", minimum=1)
+        require_int(self.crc_fail_threshold, "crc_fail_threshold", minimum=1)
+        utilization = require_number(self.min_epoch_utilization, "min_epoch_utilization")
         if not 0.0 <= utilization <= 1.0:
             raise SessionError(
                 f"min_epoch_utilization: must be in [0, 1], got {utilization!r}"
@@ -253,19 +243,17 @@ class SessionSpec:
             self,
             "resync_retries",
             default_sync_retries() if retries is None
-            else _require_int(retries, "resync_retries", minimum=1),
+            else require_int(retries, "resync_retries", minimum=1),
         )
         timeout = self.sync_timeout
         object.__setattr__(
             self,
             "sync_timeout",
             default_sync_timeout() if timeout is None
-            else _require_int(timeout, "sync_timeout", minimum=1),
+            else require_int(timeout, "sync_timeout", minimum=1),
         )
-        _require_int(self.backoff_base, "backoff_base", minimum=1)
-        _require_int(self.max_slots, "max_slots", minimum=0)
-        if not isinstance(self.description, str):
-            raise SessionError("description: must be a string")
+        require_int(self.backoff_base, "backoff_base", minimum=1)
+        require_int(self.max_slots, "max_slots", minimum=0)
         mtu = self.config.payload_bytes
         minimum_mtu = max(MIN_MTU, HEADER_BYTES + HANDSHAKE_CHUNK_BYTES)
         if mtu < minimum_mtu:
@@ -321,10 +309,6 @@ class SessionSpec:
 
         return run_session(self, executor=executor, cache=cache)
 
-    def with_overrides(self, **changes: Any) -> "SessionSpec":
-        """A copy with dataclass fields replaced (validation re-runs)."""
-        return replace(self, **changes)
-
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -350,82 +334,6 @@ class SessionSpec:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict, source: str | None = None) -> "SessionSpec":
-        """Rebuild and validate a session spec from :meth:`to_dict` output.
-
-        ``source`` (e.g. a file path) prefixes error messages.  Component
-        specs are deep-validated so a bad field fails here, not mid-run.
-        """
-        prefix = f"{source}: " if source else ""
-        try:
-            if not isinstance(data, dict):
-                raise SessionError(f"session spec must be a mapping, got {type(data).__name__}")
-            known = {
-                "name", "description", "config", "traffic", "jammer", "seed_generator",
-                "grid", "seed", "packets_per_epoch", "crc_fail_threshold",
-                "min_epoch_utilization", "resync_retries", "sync_timeout",
-                "backoff_base", "max_slots",
-            }
-            unknown = set(data) - known
-            if unknown:
-                raise SessionError(f"unknown session field(s): {sorted(unknown)}")
-            if "name" not in data:
-                raise SessionError("name: field is required")
-            grid = data.get("grid", {})
-            if not isinstance(grid, dict):
-                raise SessionError("grid: must be a mapping with snr_db/sjr_db lists")
-            grid_unknown = set(grid) - {"snr_db", "sjr_db"}
-            if grid_unknown:
-                raise SessionError(f"unknown grid field(s): {sorted(grid_unknown)}")
-            try:
-                config = BHSSConfig.from_dict(data.get("config", {}))
-            except ValueError as exc:
-                raise SessionError(f"config: {exc}") from None
-            traffic = MessageTrafficSpec.from_dict(data.get("traffic", {}))
-            description = data.get("description", "")
-            kwargs: dict = {
-                "name": data["name"],
-                "config": config,
-                "traffic": traffic,
-                "jammer": data.get("jammer", {"type": "none"}),
-                "seed_generator": data.get("seed_generator", {"type": "counter", "key": 0}),
-                "description": description,
-            }
-            if "snr_db" in grid:
-                kwargs["snr_db"] = grid["snr_db"]
-            if "sjr_db" in grid:
-                kwargs["sjr_db"] = grid["sjr_db"]
-            for key in (
-                "seed", "packets_per_epoch", "crc_fail_threshold",
-                "min_epoch_utilization", "resync_retries", "sync_timeout",
-                "backoff_base", "max_slots",
-            ):
-                if key in data:
-                    kwargs[key] = data[key]
-            return cls(**kwargs).validate()
-        except SessionError as exc:
-            if prefix:
-                raise SessionError(f"{prefix}{exc}") from None
-            raise
-
-    def save(self, path: str) -> str:
-        """Write the session spec as pretty-printed JSON; returns the path."""
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str) -> "SessionSpec":
-        """Read and validate a session JSON file."""
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise SessionError(f"{path}: cannot read session file ({exc})") from None
-        except ValueError as exc:
-            raise SessionError(f"{path}: invalid JSON ({exc})") from None
-        return cls.from_dict(data, source=path)
+    def _from_fields(cls, data: dict[str, Any]) -> SessionSpec:
+        traffic = MessageTrafficSpec.from_dict(data.get("traffic", {}))
+        return cls(**{**flatten_grid(data), "traffic": traffic})

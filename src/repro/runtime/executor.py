@@ -149,6 +149,20 @@ def _run_spec_indexed(arg: tuple):
     return index, value, time.perf_counter() - t0
 
 
+def _env_int(env: str, default: int) -> int:
+    """A non-negative integer from environment variable ``env``; ``default`` when unset."""
+    raw = os.environ.get(env)
+    if raw is None or raw.strip() == "":
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{env} must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise ValueError(f"{env} must be >= 0, got {value}")
+    return value
+
+
 def resolve_workers(env: str = "REPRO_WORKERS") -> int:
     """Worker count from the environment; 0 (= serial) when unset.
 
@@ -157,16 +171,7 @@ def resolve_workers(env: str = "REPRO_WORKERS") -> int:
     Negative or non-integer values raise ``ValueError`` naming the
     variable — garbage never silently means "unset".
     """
-    raw = os.environ.get(env)
-    if raw is None or raw.strip() == "":
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{env} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"{env} must be >= 0, got {value}")
-    return value
+    return _env_int(env, 0)
 
 
 def resolve_batch(env: str = "REPRO_BATCH") -> int:
@@ -179,16 +184,7 @@ def resolve_batch(env: str = "REPRO_BATCH") -> int:
     is safe to prefer it everywhere.  Negative or non-integer values
     raise ``ValueError`` naming the variable.
     """
-    raw = os.environ.get(env)
-    if raw is None or raw.strip() == "":
-        return DEFAULT_BATCH
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{env} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"{env} must be >= 0, got {value}")
-    return value
+    return _env_int(env, DEFAULT_BATCH)
 
 
 def resolve_timeout(env: str = "REPRO_TIMEOUT") -> float | None:
@@ -219,16 +215,7 @@ def resolve_retries(env: str = "REPRO_RETRIES") -> int:
     backoff) before the sweep raises.  Negative or non-integer values
     raise ``ValueError`` naming the variable.
     """
-    raw = os.environ.get(env)
-    if raw is None or raw.strip() == "":
-        return DEFAULT_RETRIES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{env} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"{env} must be >= 0, got {value}")
-    return value
+    return _env_int(env, DEFAULT_RETRIES)
 
 
 def _backoff_seconds(failure_count: int) -> float:

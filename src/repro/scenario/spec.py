@@ -23,36 +23,23 @@ in a fleet of JSON files is a one-line diagnosis.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.channel.registry import channel_from_spec, impairments_from_spec
 from repro.core.config import BHSSConfig
 from repro.jamming.base import Jammer
 from repro.jamming.registry import jammer_from_spec
+from repro.utils.specfile import NO_JAMMER, SpecError, SpecFile, flatten_grid, grid_values
 
 __all__ = ["Scenario", "ScenarioError"]
 
-
-class ScenarioError(ValueError):
-    """A scenario spec failed validation; the message names the field."""
-
-
-def _grid_values(values: object, path: str) -> tuple[float, ...]:
-    if not isinstance(values, (list, tuple)) or not values:
-        raise ScenarioError(f"{path}: must be a non-empty list of numbers")
-    out = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ScenarioError(f"{path}[{i}]: expected a number, got {v!r}")
-        out.append(float(v))
-    return tuple(out)
+#: the spec-file error, under the name this family has always exported
+ScenarioError = SpecError
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(SpecFile):
     """A complete, serializable evaluation scenario.
 
     Attributes
@@ -82,7 +69,7 @@ class Scenario:
 
     name: str
     config: BHSSConfig = field(default_factory=BHSSConfig.paper_default)
-    jammer: dict = field(default_factory=lambda: {"type": "none"})
+    jammer: dict = field(default_factory=lambda: dict(NO_JAMMER))
     snr_db: tuple[float, ...] = (15.0,)
     sjr_db: tuple[float, ...] = (-10.0,)
     packets: int = 20
@@ -91,15 +78,20 @@ class Scenario:
     impairments: dict | None = None
     description: str = ""
 
+    KIND = "scenario"
+    FIELDS = frozenset({
+        "name", "description", "config", "jammer", "channel",
+        "impairments", "grid", "packets", "seed", "backend",
+    })
+
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise ScenarioError("name: must be a non-empty string")
+        super().__post_init__()
         if not isinstance(self.config, BHSSConfig):
             raise ScenarioError("config: must be a BHSSConfig (use from_dict for specs)")
         if not isinstance(self.jammer, dict):
             raise ScenarioError("jammer: must be a registry spec mapping")
-        object.__setattr__(self, "snr_db", _grid_values(self.snr_db, "grid.snr_db"))
-        object.__setattr__(self, "sjr_db", _grid_values(self.sjr_db, "grid.sjr_db"))
+        object.__setattr__(self, "snr_db", grid_values(self.snr_db, "grid.snr_db"))
+        object.__setattr__(self, "sjr_db", grid_values(self.sjr_db, "grid.sjr_db"))
         if isinstance(self.packets, bool) or not isinstance(self.packets, int) or self.packets < 1:
             raise ScenarioError("packets: must be an integer >= 1")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
@@ -135,10 +127,6 @@ class Scenario:
         """The (snr_db, sjr_db) grid points, SNR-major order."""
         return [(snr, sjr) for snr in self.snr_db for sjr in self.sjr_db]
 
-    def with_overrides(self, **changes: Any) -> "Scenario":
-        """A copy with dataclass fields replaced (validation re-runs)."""
-        return replace(self, **changes)
-
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -160,85 +148,11 @@ class Scenario:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict, source: str | None = None) -> "Scenario":
-        """Rebuild and validate a scenario from :meth:`to_dict` output.
-
-        ``source`` (e.g. a file path) prefixes error messages.  Component
-        specs are deep-validated: the jammer, channel and impairments are
-        built once so a bad field fails here, not mid-sweep.
-        """
-        prefix = f"{source}: " if source else ""
-        try:
-            if not isinstance(data, dict):
-                raise ScenarioError(f"scenario spec must be a mapping, got {type(data).__name__}")
-            known = {
-                "name", "description", "config", "jammer", "channel",
-                "impairments", "grid", "packets", "seed", "backend",
-            }
-            unknown = set(data) - known
-            if unknown:
-                raise ScenarioError(f"unknown scenario field(s): {sorted(unknown)}")
-            # Older spec files may pin the (only) NumPy compute path; the
-            # key is accepted and dropped so to_dict never emits it.
-            if data.get("backend", "numpy") != "numpy":
-                raise ScenarioError(
-                    f"backend: only 'numpy' is supported, got {data['backend']!r}"
-                )
-            if "name" not in data:
-                raise ScenarioError("name: field is required")
-            grid = data.get("grid", {})
-            if not isinstance(grid, dict):
-                raise ScenarioError("grid: must be a mapping with snr_db/sjr_db lists")
-            grid_unknown = set(grid) - {"snr_db", "sjr_db"}
-            if grid_unknown:
-                raise ScenarioError(f"unknown grid field(s): {sorted(grid_unknown)}")
-            try:
-                config = BHSSConfig.from_dict(data.get("config", {}))
-            except ValueError as exc:
-                raise ScenarioError(f"config: {exc}") from None
-            description = data.get("description", "")
-            if not isinstance(description, str):
-                raise ScenarioError("description: must be a string")
-            kwargs: dict = {
-                "name": data["name"],
-                "config": config,
-                "jammer": data.get("jammer", {"type": "none"}),
-                "channel": data.get("channel"),
-                "impairments": data.get("impairments"),
-                "description": description,
-            }
-            if "snr_db" in grid:
-                kwargs["snr_db"] = grid["snr_db"]
-            if "sjr_db" in grid:
-                kwargs["sjr_db"] = grid["sjr_db"]
-            if "packets" in data:
-                kwargs["packets"] = data["packets"]
-            if "seed" in data:
-                kwargs["seed"] = data["seed"]
-            return cls(**kwargs).validate()
-        except ScenarioError as exc:
-            if prefix:
-                raise ScenarioError(f"{prefix}{exc}") from None
-            raise
-
-    def save(self, path: str) -> str:
-        """Write the scenario as pretty-printed JSON; returns the path."""
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str) -> "Scenario":
-        """Read and validate a scenario JSON file."""
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ScenarioError(f"{path}: cannot read scenario file ({exc})") from None
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: invalid JSON ({exc})") from None
-        return cls.from_dict(data, source=path)
+    def _from_fields(cls, data: dict[str, Any]) -> Scenario:
+        # Older spec files may pin the (only) NumPy compute path; the
+        # key is accepted and dropped so to_dict never emits it.
+        if data.get("backend", "numpy") != "numpy":
+            raise ScenarioError(f"backend: only 'numpy' is supported, got {data['backend']!r}")
+        kwargs = flatten_grid(data)
+        kwargs.pop("backend", None)
+        return cls(**kwargs)

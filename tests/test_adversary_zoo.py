@@ -641,12 +641,6 @@ class TestArenaSpec:
         with pytest.raises(ArenaError, match="duplicate"):
             small_arena([("a", dict(NO_JAMMER)), ("a", {"type": "repeater"})])
 
-    def test_from_dict_rejects_unknown_fields(self):
-        data = small_arena([("none", dict(NO_JAMMER))]).to_dict()
-        data["turbo"] = True
-        with pytest.raises(ArenaError, match="turbo"):
-            ArenaSpec.from_dict(data)
-
     def test_from_dict_deep_validates_jammer_specs(self):
         data = small_arena([("none", dict(NO_JAMMER))]).to_dict()
         data["jammers"]["bad"] = {"type": "multitone", "num_tones": 0}
@@ -659,11 +653,6 @@ class TestArenaSpec:
                                     "hop_ranges": [0]}))
         with pytest.raises(ArenaError, match="broken.json"):
             ArenaSpec.load(str(path))
-
-    def test_save_load_round_trip(self, tmp_path):
-        spec = small_arena([("none", dict(NO_JAMMER)), ("rep", {"type": "repeater"})])
-        path = spec.save(str(tmp_path / "arena.json"))
-        assert ArenaSpec.load(path) == spec
 
 
 # ---------------------------------------------------------------------------

@@ -239,3 +239,19 @@ class TestStatsSerialization:
         assert back["num_packets"] == 2
         assert back["per_ci_low"] <= back["packet_error_rate"] <= back["per_ci_high"]
         assert set(back["filter_usage"]) <= {"none", "lowpass", "excision"}
+
+    def test_counters_rebuild_the_stats(self):
+        import json
+
+        from repro.core.link import LinkStats
+
+        stats = make_link().run_packets(2, snr_db=20.0, seed=10)
+        counters = stats.counters()
+        assert list(counters) == [
+            "num_packets", "num_accepted", "total_bits",
+            "bit_errors", "data_rate_bps", "filter_usage",
+        ]
+        assert LinkStats(**counters) == stats
+        assert LinkStats(**json.loads(json.dumps(counters))) == stats
+        counters["filter_usage"]["none"] = -1
+        assert stats.filter_usage.get("none") != -1

@@ -198,11 +198,6 @@ class TestNetworkSpec:
         data = json.loads(json.dumps(spec.to_dict()))
         assert NetworkSpec.from_dict(data) == spec
 
-    def test_save_load(self, tmp_path):
-        spec = mesh_spec()
-        path = spec.save(str(tmp_path / "net.json"))
-        assert NetworkSpec.load(path) == spec
-
     def test_load_errors_carry_the_path(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x", "links": [{"name": "a", "volume": 11}]}))

@@ -246,11 +246,6 @@ class TestSpecs:
         again = SessionSpec.from_dict(spec.to_dict())
         assert again.to_dict() == spec.to_dict()
 
-    def test_session_save_load(self, tmp_path):
-        spec = small_spec()
-        path = spec.save(str(tmp_path / "session.json"))
-        assert SessionSpec.load(path).to_dict() == spec.to_dict()
-
     def test_mtu_floor_names_the_field(self):
         with pytest.raises(SessionError, match="config.payload_bytes"):
             small_spec(config=BHSSConfig.paper_default(payload_bytes=12))

@@ -219,10 +219,9 @@ class TestScenario:
         s = _scenario()
         assert Scenario.from_dict(s.to_dict()).to_dict() == s.to_dict()
 
-    def test_save_load(self, tmp_path):
-        path = _scenario().save(str(tmp_path / "s.json"))
-        loaded = Scenario.load(path)
-        assert loaded.to_dict() == _scenario().to_dict()
+    def test_non_string_description_rejected(self):
+        with pytest.raises(ScenarioError, match="description: must be a string"):
+            Scenario(name="x", description=5)
 
     def test_build_returns_ready_components(self):
         link, jammer = _scenario().build()
