@@ -24,7 +24,14 @@ def complex_awgn(num_samples: int, power: float, rng=None) -> np.ndarray:
     ensure_non_negative(power, "power")
     gen = make_rng(rng)
     scale = np.sqrt(power / 2.0)
-    return scale * (gen.normal(size=num_samples) + 1j * gen.normal(size=num_samples))
+    # One draw of 2n is the two successive n-draws (real, then imag); the
+    # in-place complex scaling keeps their product's signed zeros at power 0.
+    z = gen.standard_normal(2 * num_samples)
+    out = np.empty(num_samples, dtype=np.complex128)
+    out.real = z[:num_samples]
+    out.imag = z[num_samples:]
+    out *= scale
+    return out
 
 
 def noise_power_for_snr(signal: np.ndarray, snr_db: float, reference_power: float | None = None) -> float:

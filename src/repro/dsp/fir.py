@@ -13,7 +13,8 @@ sweep, so direct convolution is not an option).
 
 The batch entry points (:func:`apply_fir_batch`, :func:`fft_convolve_batch`)
 filter a ``(R, N)`` stack in one pass; every row is bit-identical to the
-serial call on that row.
+serial call on that row.  The serial :func:`apply_fir` is a one-row call of
+:func:`apply_fir_batch`, so the overlap-save loop exists only once.
 """
 
 from __future__ import annotations
@@ -293,8 +294,9 @@ def apply_fir_batch(
     complex_out = np.iscomplexobj(x) or np.iscomplexobj(h)
     out = np.empty((rows, n_out), dtype=np.complex128 if complex_out else np.float64)
 
-    # Zero-pad far enough that every overlap-save block is a plain view —
-    # the trailing zeros are exactly what the serial path appends blockwise.
+    # Overlap-save: k-1 leading zeros, blocks of `nfft` advancing by `step`,
+    # each keeping the last `step` samples of its circular result.  The
+    # trailing zero pad makes every block, the last one too, a plain view.
     num_blocks = -(-n_out // step)
     padded = np.zeros((rows, (num_blocks - 1) * step + nfft), dtype=x.dtype)
     padded[:, k - 1 : k - 1 + n] = x
@@ -332,6 +334,8 @@ def apply_fir(signal: np.ndarray, taps: np.ndarray, mode: str = "compensated", b
     tests); by default a block of ~8x the filter length is used, capped at
     the length of the full convolution (short hop segments do not pay for
     a full-size block).
+
+    This is :func:`apply_fir_batch` on a one-row stack.
     """
     x = as_complex_array(signal) if np.iscomplexobj(signal) else np.asarray(signal, dtype=float)
     h = np.asarray(taps)
@@ -339,44 +343,7 @@ def apply_fir(signal: np.ndarray, taps: np.ndarray, mode: str = "compensated", b
         raise ValueError("taps must be a non-empty 1-D array")
     if x.size == 0:
         return x.copy()
-
-    k = h.size
-    if block_size is None:
-        block_size = _default_block_size(x.size, k)
-    nfft = max(_next_fast_len(k), block_size)
-    step = nfft - (k - 1)
-    if step <= 0:
-        nfft = _next_fast_len(2 * k)
-        step = nfft - (k - 1)
-
-    hf = np.fft.fft(h, nfft)
-    n_out = x.size + k - 1
-    complex_out = np.iscomplexobj(x) or np.iscomplexobj(h)
-    out = np.empty(n_out, dtype=np.complex128 if complex_out else np.float64)
-
-    # Overlap-save: prepend k-1 zeros, process blocks of `nfft` advancing by
-    # `step`, keep the last `step` samples of each block's circular result.
-    padded = np.concatenate([np.zeros(k - 1, dtype=x.dtype), x, np.zeros(step, dtype=x.dtype)])
-    pos = 0
-    while pos < n_out:
-        block = padded[pos : pos + nfft]
-        if block.size < nfft:
-            block = np.concatenate([block, np.zeros(nfft - block.size, dtype=x.dtype)])
-        y = np.fft.ifft(np.fft.fft(block) * hf)
-        take = min(step, n_out - pos)
-        chunk = y[k - 1 : k - 1 + take]
-        out[pos : pos + take] = chunk if complex_out else chunk.real
-        pos += take
-
-    if mode == "full":
-        return out
-    if mode == "same":
-        start = (k - 1) // 2
-        return out[start : start + x.size]
-    if mode == "compensated":
-        delay = (k - 1) // 2
-        return out[delay : delay + x.size]
-    raise ValueError(f"unknown mode {mode!r}; expected 'compensated', 'same', or 'full'")
+    return apply_fir_batch(x[None], h, mode, block_size)[0]
 
 
 def frequency_response(

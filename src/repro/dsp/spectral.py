@@ -70,7 +70,11 @@ def _segment_psd_average(
     window: WindowSpec,
     nfft: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Average windowed periodograms over (possibly overlapping) segments."""
+    """Average windowed periodograms over (possibly overlapping) segments.
+
+    Validates the arguments with the serial error wording, then runs as a
+    one-row call of :func:`welch_psd_batch`.
+    """
     x = as_complex_array(x)
     ensure_positive(sample_rate, "sample_rate")
     nperseg = int(nperseg)
@@ -86,23 +90,8 @@ def _segment_psd_average(
     noverlap = int(noverlap)
     if not 0 <= noverlap < nperseg:
         raise ValueError(f"noverlap must be in [0, nperseg), got {noverlap}")
-    step = nperseg - noverlap
-    nfft = int(nfft) if nfft is not None else nperseg
-
-    w = get_window(window, nperseg, periodic=True)
-    scale = sample_rate * np.sum(w**2)
-    acc = np.zeros(nfft, dtype=float)
-    count = 0
-    for start in range(0, x.size - nperseg + 1, step):
-        seg = x[start : start + nperseg]
-        spec = np.fft.fft(seg * w, nfft)
-        acc += np.abs(spec) ** 2
-        count += 1
-    if count == 0:
-        raise ValueError("signal too short for the requested segmentation")
-    psd = acc / (count * scale)
-    freqs = np.fft.fftfreq(nfft, d=1.0 / sample_rate)
-    return np.fft.fftshift(freqs), np.fft.fftshift(psd)
+    freqs, psd = welch_psd_batch(x[None], sample_rate, nperseg, noverlap, window, nfft)
+    return freqs, psd[0]
 
 
 def welch_psd_batch(
@@ -185,7 +174,11 @@ def welch_psd(
     window: WindowSpec = "hann",
     nfft: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Welch's method: averaged, windowed, 50 %-overlapping periodograms."""
+    """Welch's method: averaged, windowed, 50 %-overlapping periodograms.
+
+    A one-row call of :func:`welch_psd_batch`: every segment goes through
+    one stacked FFT, and the periodograms are summed in segment order.
+    """
     if noverlap is None:
         noverlap = nperseg // 2
     return _segment_psd_average(x, sample_rate, nperseg, noverlap, window, nfft)

@@ -7,8 +7,14 @@ normalized to **unit average transmit power** regardless of the stretch
 factor — the paper's attacker model fixes transmit *power*, so hopping to
 a narrower bandwidth concentrates more energy per chip.
 
-The demodulator is the matched filter sampled at chip centres, returning
-soft chip values for the despreading correlators.
+The demodulator is the matched filter read at the chip peaks, returning
+soft chip values for the despreading correlators.  For the span-1 pulses
+(half-sine, the paper's, and rect) each peak is one length-``sps`` dot
+product of the chip's samples with the reversed pulse, so only the
+``n_cc`` samples that are kept are ever computed; the root-raised-cosine
+pulse spans several chips and goes through an FFT convolution.  The
+serial :meth:`ChipModulator.demodulate` is a one-row call of
+:meth:`ChipModulator.demodulate_batch`.
 """
 
 from __future__ import annotations
@@ -161,8 +167,9 @@ class ChipModulator:
     ) -> np.ndarray:
         """Row-wise :meth:`demodulate` for a ``(R, N)`` waveform stack.
 
-        Same per-row bit-identity contract as :meth:`modulate_batch`; all
-        rows share ``sps`` and ``num_chips``.
+        All rows share ``sps`` and ``num_chips``; row ``i`` is
+        bit-identical to ``demodulate(waveform[i], ...)``, which is this
+        method on a one-row stack.
         """
         if sps < 1:
             raise ValueError(f"sps must be >= 1, got {sps}")
@@ -183,12 +190,26 @@ class ChipModulator:
             return np.zeros((x.shape[0], 0), dtype=float)
         p, trim = self._pulse_and_trim(sps)
         if matched:
-            pf = self.pulse.spectrum_cached(sps, convolve_nfft(x.shape[1], p.size))
-            mf = fft_convolve_batch(x, p.astype(complex), taps_fft=pf)
-            idx = np.arange(n_cc) * sps + (p.size - 1) - trim
-            soft_cplx = mf[:, idx]
+            if p.size == sps:
+                # Span-1 pulse (trim 0): the matched-filter output at chip
+                # k's peak, index k*sps + sps-1, is one length-sps dot
+                # product of that chip's samples with the reversed pulse.
+                # Contiguous chips keep every row on the same matmul path,
+                # so a row's result never depends on the stack's layout.
+                chips = np.ascontiguousarray(x[:, : n_cc * sps])
+                chips = chips.reshape(x.shape[0], n_cc, sps)
+                soft_cplx = chips @ p[::-1]
+            else:
+                pf = self.pulse.spectrum_cached(sps, convolve_nfft(x.shape[1], p.size))
+                mf = fft_convolve_batch(x, p.astype(complex), taps_fft=pf)
+                soft_cplx = mf[:, np.arange(n_cc) * sps + (p.size - 1) - trim]
+            # Undo the transmit power scaling and the matched-filter gain
+            # (pulse has unit energy, so MF gain on the aligned chip is 1).
             soft_cplx = soft_cplx / np.sqrt(sps) * np.sqrt(2)
         else:
+            # Raw chip-rate sampling: one sample at each chip centre,
+            # rescaled by the pulse's centre amplitude and the transmit
+            # power normalization so clean chips still read +-1.
             centre = sps // 2
             idx = np.arange(n_cc) * sps + centre
             idx = np.minimum(idx, x.shape[1] - 1)
@@ -209,55 +230,26 @@ class ChipModulator:
 
         With ``matched=True`` (default) the waveform goes through the
         pulse matched filter and is sampled at the correlation peaks —
-        the proper receiver.  With ``matched=False`` the chips are read
-        by *direct sampling at the chip centres* with no band-limiting at
-        all: this is eq. (5)'s "received baseband signal, sampled at the
-        chip rate", the theory model's unfiltered receiver, in which
-        out-of-band interference aliases straight into the decision
-        variable.  It is the baseline the paper's Section-6.3 power
+        the proper receiver.  For span-1 pulses only the peaks are
+        computed, one dot product per chip; the multi-chip RRC pulse is
+        FFT-convolved over the whole waveform and then sampled.  With
+        ``matched=False`` the chips are read by *direct sampling at the
+        chip centres* with no band-limiting at all: this is eq. (5)'s
+        "received baseband signal, sampled at the chip rate", the theory
+        model's unfiltered receiver, in which out-of-band interference
+        aliases straight into the decision variable.  It is the baseline the paper's Section-6.3 power
         advantage is measured against.
 
         ``num_chips`` (binary chips, even) limits the output; by default
         every full complex chip contained in the waveform is returned.
         The soft values are scaled so that a cleanly received +-1 chip
-        yields approximately +-1.
+        yields approximately +-1.  This is :meth:`demodulate_batch` on a
+        one-row stack.
         """
         if sps < 1:
             raise ValueError(f"sps must be >= 1, got {sps}")
         x = as_complex_array(waveform, "waveform")
-        n_cc_avail = x.size // sps
-        if num_chips is not None:
-            if num_chips % 2 != 0:
-                raise ValueError("num_chips must be even (I/Q pairs)")
-            n_cc = num_chips // 2
-            if n_cc > n_cc_avail:
-                raise ValueError(
-                    f"waveform holds {n_cc_avail} complex chips, need {n_cc}"
-                )
-        else:
-            n_cc = n_cc_avail
-        if n_cc == 0:
-            return np.zeros(0, dtype=float)
-        p, trim = self._pulse_and_trim(sps)
-        if matched:
-            mf = fft_convolve(x, p.astype(complex))
-            idx = np.arange(n_cc) * sps + (p.size - 1) - trim
-            soft_cplx = mf[idx]
-            # Undo the transmit power scaling and the matched-filter gain
-            # (pulse has unit energy, so MF gain on the aligned chip is 1).
-            soft_cplx = soft_cplx / np.sqrt(sps) * np.sqrt(2)
-        else:
-            # Raw chip-rate sampling: one sample at each chip centre,
-            # rescaled by the pulse's centre amplitude and the transmit
-            # power normalization so clean chips still read +-1.
-            centre = sps // 2
-            idx = np.arange(n_cc) * sps + centre
-            idx = np.minimum(idx, x.size - 1)
-            centre_gain = p[trim + centre] if trim + centre < p.size else p[p.size // 2]
-            if centre_gain <= 0:
-                raise ValueError("pulse centre amplitude is non-positive")
-            soft_cplx = x[idx] / (np.sqrt(sps) * centre_gain) * np.sqrt(2)
-        return complex_chips_to_binary(soft_cplx)
+        return self.demodulate_batch(x[None], sps, num_chips, matched)[0]
 
     def samples_for_chips(self, num_chips: int, sps: int) -> int:
         """Waveform length produced by ``num_chips`` binary chips at ``sps``."""

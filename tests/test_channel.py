@@ -47,6 +47,17 @@ class TestComplexAwgn:
         np.testing.assert_array_equal(complex_awgn(50, 1.0, rng=7), complex_awgn(50, 1.0, rng=7))
 
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 480_000])
+    @pytest.mark.parametrize("seed", [0, 5, 123])
+    @pytest.mark.parametrize("power", [0.0, 0.37, 1.0, 12.5])
+    def test_one_draw_equals_two_draw_formula(self, n, seed, power):
+        gen = np.random.default_rng(seed)
+        two_draw = np.sqrt(power / 2.0) * (gen.normal(size=n) + 1j * gen.normal(size=n))
+        noise = complex_awgn(n, power, rng=seed)
+        assert noise.dtype == two_draw.dtype and noise.shape == two_draw.shape
+        np.testing.assert_array_equal(noise.view(np.uint64), two_draw.view(np.uint64))
+
+
 class TestAddAwgn:
     def test_snr_calibration(self):
         n = np.arange(100_000)

@@ -213,6 +213,67 @@ class TestApplyFir:
         np.testing.assert_allclose(apply_fir(x, delta, mode="compensated"), x, atol=1e-9)
 
 
+def overlap_save_loop(x, h, mode, block_size=None):
+    """The per-block overlap-save loop, one 1-D FFT pair per block."""
+    x = np.asarray(x)
+    k = h.size
+    if block_size is None:
+        block_size = min(max(8 * k, 4096), x.size + k - 1)
+        block_size = 1 << (block_size - 1).bit_length()
+    nfft = max(1 << (k - 1).bit_length(), block_size)
+    step = nfft - (k - 1)
+    if step <= 0:
+        nfft = 1 << (2 * k - 1).bit_length()
+        step = nfft - (k - 1)
+    hf = np.fft.fft(h, nfft)
+    n_out = x.size + k - 1
+    complex_out = np.iscomplexobj(x) or np.iscomplexobj(h)
+    out = np.empty(n_out, dtype=complex if complex_out else float)
+    padded = np.concatenate([np.zeros(k - 1, x.dtype), x, np.zeros(step, x.dtype)])
+    pos = 0
+    while pos < n_out:
+        block = padded[pos : pos + nfft]
+        if block.size < nfft:
+            block = np.concatenate([block, np.zeros(nfft - block.size, x.dtype)])
+        y = np.fft.ifft(np.fft.fft(block) * hf)
+        take = min(step, n_out - pos)
+        chunk = y[k - 1 : k - 1 + take]
+        out[pos : pos + take] = chunk if complex_out else chunk.real
+        pos += take
+    if mode == "full":
+        return out
+    delay = (k - 1) // 2
+    return out[delay : delay + x.size]
+
+
+class TestApplyFirEqualsBlockLoop:
+    """apply_fir (a one-row apply_fir_batch call) equals the per-block loop."""
+
+    @pytest.mark.parametrize("mode", ["compensated", "same", "full"])
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("n, k, block_size", [
+        (10_000, 101, None),
+        (20_000, 257, None),
+        (300, 33, None),
+        (1000, 33, 64),
+        (1000, 40, 32),
+    ])
+    def test_matches_loop(self, mode, real, n, k, block_size):
+        rng = np.random.default_rng(n + k)
+        x = rng.normal(size=n) if real else rng.normal(size=n) + 1j * rng.normal(size=n)
+        h = rng.normal(size=k)
+        got = apply_fir(x, h, mode=mode, block_size=block_size)
+        ref = overlap_save_loop(x, h, mode, block_size)
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+
+    def test_complex_taps_on_real_signal(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=5000)
+        h = rng.normal(size=51) + 1j * rng.normal(size=51)
+        np.testing.assert_array_equal(apply_fir(x, h), overlap_save_loop(x, h, "compensated"))
+
+
 class TestGroupDelay:
     def test_group_delay(self):
         assert group_delay_samples(np.ones(101)) == 50.0

@@ -13,6 +13,7 @@ from repro.dsp import (
     welch_psd,
 )
 from repro.dsp.mixing import frequency_shift
+from repro.dsp.windows import get_window
 
 FS = 20e6
 
@@ -142,6 +143,59 @@ class TestWelchAndBartlett:
     def test_bad_nperseg_raises(self):
         with pytest.raises(ValueError):
             welch_psd(white_noise(1024), FS, nperseg=1)
+
+
+def segment_loop_psd(x, fs, nperseg, noverlap, window, nfft=None):
+    """The per-segment Welch/Bartlett loop, one FFT per segment."""
+    x = np.asarray(x, dtype=complex)
+    if x.size < nperseg:
+        noverlap = int(noverlap * x.size / nperseg)
+        nperseg = x.size
+    step = nperseg - int(noverlap)
+    nfft = nperseg if nfft is None else nfft
+    w = get_window(window, nperseg, periodic=True)
+    scale = fs * np.sum(w**2)
+    acc = np.zeros(nfft)
+    count = 0
+    for start in range(0, x.size - nperseg + 1, step):
+        acc += np.abs(np.fft.fft(x[start : start + nperseg] * w, nfft)) ** 2
+        count += 1
+    freqs = np.fft.fftfreq(nfft, d=1.0 / fs)
+    return np.fft.fftshift(freqs), np.fft.fftshift(acc / (count * scale))
+
+
+class TestSegmentAverageEqualsLoop:
+    """welch_psd/bartlett_psd (one-row batch calls) equal the per-segment loop."""
+
+    @pytest.mark.parametrize("n", [5000, 257, 100])
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("nfft", [None, 512])
+    def test_welch(self, n, real, nfft):
+        x = white_noise(n, seed=n)
+        x = x.real if real else x
+        got = welch_psd(x, FS, nperseg=256, nfft=nfft)
+        ref = segment_loop_psd(x, FS, 256, 128, "hann", nfft)
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
+
+    @pytest.mark.parametrize("n", [5000, 100])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_bartlett(self, n, real):
+        x = white_noise(n, seed=n + 1)
+        x = x.real if real else x
+        got = bartlett_psd(x, FS, nperseg=512)
+        ref = segment_loop_psd(x, FS, 512, 0, "rectangular")
+        np.testing.assert_array_equal(got[1], ref[1])
+
+    def test_welch_custom_overlap_and_window(self):
+        x = white_noise(3001, seed=9)
+        got = welch_psd(x, FS, nperseg=200, noverlap=150, window="hamming")
+        ref = segment_loop_psd(x, FS, 200, 150, "hamming")
+        np.testing.assert_array_equal(got[1], ref[1])
+
+    def test_too_short_keeps_serial_wording(self):
+        with pytest.raises(ValueError, match="PSD needs at least 2 samples, got 1"):
+            welch_psd(np.ones(1, dtype=complex), FS)
 
 
 class TestEstimateSpectrum:

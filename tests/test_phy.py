@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dsp import HalfSinePulse, RectPulse, RootRaisedCosinePulse
+from repro.core.config import BHSSConfig
+from repro.dsp import HalfSinePulse, PulseShape, RectPulse, RootRaisedCosinePulse, fft_convolve
 from repro.phy import (
     ChipModulator,
     DEFAULT_FRAME_FORMAT,
@@ -226,6 +227,79 @@ class TestChipModulator:
         mod = ChipModulator(HalfSinePulse())
         soft = mod.demodulate(mod.modulate(chips, sps), sps)
         np.testing.assert_array_equal(np.sign(soft), chips)
+
+
+class RampPulse(PulseShape):
+    """Asymmetric span-1 pulse: only it tells ``p`` from ``p[::-1]``."""
+
+    def __init__(self) -> None:
+        super().__init__(bandwidth_factor=2.0, span=1)
+
+    def waveform(self, sps: int) -> np.ndarray:
+        return self._normalize(np.arange(1.0, sps + 1.0))
+
+
+PAPER_SPS = [int(s) for s in BHSSConfig.paper_default().bandwidth_set.sps_values()]
+
+
+def fft_matched_filter_reference(pulse, x, sps):
+    """The FFT-convolve-then-sample matched filter, written out."""
+    p = pulse.waveform(sps)
+    trim = (p.size - sps) // 2
+    n_cc = x.size // sps
+    mf = fft_convolve(x, p.astype(complex))
+    soft = mf[np.arange(n_cc) * sps + (p.size - 1) - trim] / np.sqrt(sps) * np.sqrt(2)
+    return complex_chips_to_binary(soft)
+
+
+def capture_with_partial_chip(sps, n_cc=40, seed=0):
+    rng = np.random.default_rng(seed)
+    n = n_cc * sps + max(sps // 2, 1)
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+class TestSampledMatchedFilter:
+    """Span-1 pulses are read at the chip peaks only; RRC still FFT-convolves."""
+
+    def _check_span1(self, pulse, sps):
+        mod = ChipModulator(pulse)
+        rows = np.stack([capture_with_partial_chip(sps, seed=s) for s in range(3)])
+        batch = mod.demodulate_batch(rows, sps)
+        for row, soft_batch in zip(rows, batch):
+            ref = fft_matched_filter_reference(mod.pulse, row, sps)
+            serial = mod.demodulate(row, sps)
+            np.testing.assert_allclose(serial, ref, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(soft_batch, serial)
+
+    @pytest.mark.parametrize("pulse", [HalfSinePulse(), RectPulse()])
+    @pytest.mark.parametrize("sps", PAPER_SPS)
+    def test_paper_pulses_match_fft_reference(self, pulse, sps):
+        self._check_span1(pulse, sps)
+
+    @pytest.mark.parametrize("sps", PAPER_SPS)
+    def test_asymmetric_pulse_matches_fft_reference(self, sps):
+        self._check_span1(RampPulse(), sps)
+
+    @pytest.mark.parametrize("sps", [2, 4, 16])
+    def test_rrc_equals_fft_reference_exactly(self, sps):
+        mod = ChipModulator(RootRaisedCosinePulse(beta=0.35, span=8))
+        x = capture_with_partial_chip(sps, seed=7)
+        ref = fft_matched_filter_reference(mod.pulse, x, sps)
+        np.testing.assert_array_equal(mod.demodulate(x, sps), ref)
+        np.testing.assert_array_equal(mod.demodulate_batch(np.stack([x, x]), sps)[1], ref)
+
+    def test_row_does_not_depend_on_stack_layout(self):
+        mod = ChipModulator(HalfSinePulse())
+        # Whole chips only, so the chip reshape could be a view of the stack.
+        rows = np.stack([capture_with_partial_chip(8, seed=s)[: 40 * 8] for s in range(4)])
+        strided = np.zeros((8, 2 * rows.shape[1]), dtype=complex)
+        strided[::2, ::2] = rows
+        np.testing.assert_array_equal(
+            mod.demodulate_batch(strided[::2, ::2], 8), mod.demodulate_batch(rows, 8)
+        )
+        np.testing.assert_array_equal(
+            mod.demodulate_batch(np.asfortranarray(rows), 8), mod.demodulate_batch(rows, 8)
+        )
 
 
 class TestFrameFormat:
