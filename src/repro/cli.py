@@ -530,6 +530,17 @@ def _load_spec_file(path: str) -> tuple[Workload, Any]:
     return workload, workload.spec.from_dict(data, source=path)
 
 
+def as_table(result: Any) -> SweepResult:
+    """The CSV table of a runner's result (``run -o`` writes this)."""
+    return result if isinstance(result, SweepResult) else result.to_sweep_result()
+
+
+def run_spec_file(path: str) -> SweepResult:
+    """Run one spec file of any kind and return the table ``run -o`` writes."""
+    workload, spec = _load_spec_file(path)
+    return as_table(workload.runner(spec))
+
+
 def cmd_run(args) -> int:
     given = [kind for kind in WORKLOADS if getattr(args, kind)]
     if len(given) != 1:
@@ -549,7 +560,7 @@ def cmd_run(args) -> int:
     label = f" — {spec.description}" if spec.description else ""
     print(f"{kind} {spec.name!r}{label}: {workload.size(spec)}")
     result = workload.runner(spec, checkpoint=args.checkpoint)
-    table = result if isinstance(result, SweepResult) else result.to_sweep_result()
+    table = as_table(result)
     rows = [workload.row(r) for r in table.rows]
     print(format_table(list(workload.columns), rows, title=f"{workload.title}: {spec.name}"))
     for line in workload.summary(spec, result):

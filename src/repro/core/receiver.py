@@ -6,7 +6,9 @@ the shared seed*, never from the air — Section 4.1):
 1. the control logic estimates the jammer spectrally and selects the
    low-pass / excision / no filter (Section 4.2);
 2. the filter runs before anything else, so the jammer cannot disturb the
-   later stages;
+   later stages: the eq.-3 excision filter over the whole block, while
+   the eq.-4 low-pass taps go to the demodulator, which folds them into
+   the matched filter and computes the pair only at the chip peaks;
 3. the matched filter (matched to the current stretch factor α) recovers
    soft chips;
 4. the correlator bank despreads chips to symbols.
@@ -140,10 +142,13 @@ class BHSSReceiver:
                 qualities.extend([0.0] * seg.num_symbols)
                 continue
 
+            lowpass = None
             if self.config.filtering:
                 decision = self.control.decide(block, seg.bandwidth)
                 decisions.append(decision)
-                if decision.taps is not None:
+                if decision.kind is FilterKind.LOWPASS:
+                    lowpass = decision.taps
+                elif decision.taps is not None:
                     block = apply_fir(block, decision.taps, mode="compensated")
 
             soft = self.modulator.demodulate(
@@ -151,6 +156,7 @@ class BHSSReceiver:
                 seg.sps,
                 num_chips=seg.num_symbols * cps,
                 matched=self.config.matched_filter,
+                taps=lowpass,
             )
             if costas is not None:
                 tracked = costas.process(binary_chips_to_complex(soft))
@@ -188,7 +194,9 @@ class BHSSReceiver:
         Complete (packet, segment) blocks are grouped by ``(num_symbols,
         sps, bandwidth)`` — the segment's chip offset is a per-row
         scramble-phase input, not a shape — and each group goes through
-        one stacked decide → filter → matched-filter → despread chain.
+        one stacked decide → filter → matched-filter → despread chain
+        (LOWPASS rows and the rest demodulate as two stacks, the former
+        with the group's shared low-pass taps folded in).
         Truncated captures take the serial zero-quality path per segment.
         ``phase_track=True`` falls back to the serial receiver per packet:
         the Costas loop is a sequential recursion with nothing to batch.
@@ -250,13 +258,14 @@ class BHSSReceiver:
         for (seg_symbols, sps, bandwidth), members in chunked:
             n_samples = seg_symbols * (cps // 2) * sps
             blocks = np.stack([xs[p][off : off + n_samples] for p, _s, off, _start in members])
+            # Rows sharing one demodulation call: the LOWPASS rows hand
+            # their (shared) taps to the demodulator, everything else is
+            # filtered here, if at all, and demodulated without taps.
+            row_groups: list[tuple[list[int], np.ndarray | None]] = [
+                (list(range(len(members))), None)
+            ]
             if self.config.filtering:
                 decisions = self.control.decide_batch(blocks, bandwidth)
-                lp_rows = [i for i, d in enumerate(decisions) if d.kind is FilterKind.LOWPASS]
-                if lp_rows:
-                    blocks[lp_rows] = apply_fir_batch(
-                        blocks[lp_rows], decisions[lp_rows[0]].taps, mode="compensated"
-                    )
                 exc_rows = [i for i, d in enumerate(decisions) if d.kind is FilterKind.EXCISION]
                 if exc_rows:
                     blocks[exc_rows] = apply_fir_batch(
@@ -264,14 +273,22 @@ class BHSSReceiver:
                         np.stack([decisions[i].taps for i in exc_rows]),
                         mode="compensated",
                     )
+                lp_rows = [i for i, d in enumerate(decisions) if d.kind is FilterKind.LOWPASS]
+                if lp_rows:
+                    rest = [i for i, d in enumerate(decisions) if d.kind is not FilterKind.LOWPASS]
+                    row_groups = [(lp_rows, decisions[lp_rows[0]].taps), (rest, None)]
                 for row, (p, s, _off, _start) in enumerate(members):
                     seg_decision[p][s] = decisions[row]
-            soft = self.modulator.demodulate_batch(
-                blocks,
-                sps,
-                num_chips=seg_symbols * cps,
-                matched=self.config.matched_filter,
-            )
+            soft = np.empty((len(members), seg_symbols * cps))
+            for rows, taps in row_groups:
+                if rows:
+                    soft[rows] = self.modulator.demodulate_batch(
+                        blocks if len(rows) == len(members) else blocks[rows],
+                        sps,
+                        num_chips=seg_symbols * cps,
+                        matched=self.config.matched_filter,
+                        taps=taps,
+                    )
             starts = np.fromiter((start * cps for _p, _s, _off, start in members), dtype=int)
             result = self.modem.despread_batch(soft, start_chip=starts)
             for row, (p, s, _off, start) in enumerate(members):

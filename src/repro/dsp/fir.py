@@ -43,7 +43,7 @@ __all__ = [
 
 
 def _sinc_kernel(num_taps: int, cutoff_norm: float) -> np.ndarray:
-    """Ideal low-pass impulse response, cutoff as a fraction of fs/2... of fs.
+    """Ideal low-pass impulse response for a cutoff given as a fraction of fs.
 
     ``cutoff_norm`` is the cutoff frequency divided by the sample rate
     (0 < cutoff_norm < 0.5).  The kernel is centred on ``(num_taps-1)/2``.

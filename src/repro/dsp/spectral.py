@@ -109,8 +109,9 @@ def welch_psd_batch(
     ``welch_psd(x[i], ...)``: all R rows share the segmentation geometry
     (same ``N``), every Welch segment across the batch goes through one
     stacked FFT, and the segment accumulation runs in the serial order —
-    a sequential loop over segment index, vectorized over rows — so the
-    floating-point sum is performed in exactly the serial sequence.
+    one reduction over the segment axis, sequential in segment index and
+    vectorized over rows — so the floating-point sum is performed in
+    exactly the serial sequence.
     """
     x = np.asarray(x)
     if x.ndim != 2:
@@ -149,12 +150,10 @@ def welch_psd_batch(
     segs = windows[:, ::step][:, : starts.size] * w
     specs = np.fft.fft(segs, nfft, axis=-1)
     power = np.abs(specs) ** 2
-    acc = np.zeros((x.shape[0], nfft), dtype=float)
-    for s in range(starts.size):
-        # Sequential segment order: the serial Welch sum must be replayed
-        # term by term for the accumulated rounding to match exactly.
-        acc += power[:, s, :]
-    psd = acc / (starts.size * scale)
+    # The segment axis is not the contiguous one, so NumPy reduces it in
+    # segment order (no pairwise blocking): the serial Welch sum, replayed
+    # term by term, vectorized over rows and bins.
+    psd = np.add.reduce(power, axis=1) / (starts.size * scale)
     freqs = np.fft.fftfreq(nfft, d=1.0 / sample_rate)
     return np.fft.fftshift(freqs), np.fft.fftshift(psd, axes=-1)
 

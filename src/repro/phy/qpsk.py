@@ -12,8 +12,15 @@ soft chip values for the despreading correlators.  For the span-1 pulses
 (half-sine, the paper's, and rect) each peak is one length-``sps`` dot
 product of the chip's samples with the reversed pulse, so only the
 ``n_cc`` samples that are kept are ever computed; the root-raised-cosine
-pulse spans several chips and goes through an FFT convolution.  The
-serial :meth:`ChipModulator.demodulate` is a one-row call of
+pulse spans several chips and goes through an FFT convolution.
+
+A receive filter handed in as ``taps`` (the eq.-4 low-pass) is folded
+into the span-1 matched filter: the two FIRs convolve into one combined
+filter of ``K + sps - 1`` taps, which is again evaluated only at the chip
+peaks, as a polyphase matrix product that costs about ``K / sps`` MACs
+per input sample (~7 on every paper hop).  No filtered sample that the
+peak read would discard is ever computed.  The serial
+:meth:`ChipModulator.demodulate` is a one-row call of
 :meth:`ChipModulator.demodulate_batch`.
 """
 
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dsp.fir import convolve_nfft, fft_convolve, fft_convolve_batch
+from repro.dsp.fir import apply_fir_batch, convolve_nfft, fft_convolve, fft_convolve_batch
 from repro.dsp.pulse import PulseShape, get_pulse
 from repro.utils.validation import as_complex_array
 
@@ -164,12 +171,13 @@ class ChipModulator:
         sps: int,
         num_chips: int | None = None,
         matched: bool = True,
+        taps: np.ndarray | None = None,
     ) -> np.ndarray:
         """Row-wise :meth:`demodulate` for a ``(R, N)`` waveform stack.
 
-        All rows share ``sps`` and ``num_chips``; row ``i`` is
-        bit-identical to ``demodulate(waveform[i], ...)``, which is this
-        method on a one-row stack.
+        All rows share ``sps``, ``num_chips`` and the receive filter
+        ``taps``; row ``i`` is bit-identical to ``demodulate(waveform[i],
+        ...)``, which is this method on a one-row stack.
         """
         if sps < 1:
             raise ValueError(f"sps must be >= 1, got {sps}")
@@ -186,23 +194,34 @@ class ChipModulator:
                 raise ValueError(f"waveform holds {n_cc_avail} complex chips, need {n_cc}")
         else:
             n_cc = n_cc_avail
+        h = None if taps is None else np.asarray(taps)
+        if h is not None:
+            if h.ndim != 1 or h.size == 0:
+                raise ValueError("taps must be a non-empty 1-D array")
+            h = h.astype(np.complex128 if np.iscomplexobj(h) else np.float64, copy=False)
         if n_cc == 0:
             return np.zeros((x.shape[0], 0), dtype=float)
         p, trim = self._pulse_and_trim(sps)
+        if h is not None and not (matched and p.size == sps):
+            # The fold needs a time-limited matched filter; the RRC pulse
+            # and raw chip sampling filter the whole waveform first.
+            x = apply_fir_batch(x, h, mode="compensated")
         if matched:
-            if p.size == sps:
-                # Span-1 pulse (trim 0): the matched-filter output at chip
-                # k's peak, index k*sps + sps-1, is one length-sps dot
-                # product of that chip's samples with the reversed pulse.
-                # Contiguous chips keep every row on the same matmul path,
-                # so a row's result never depends on the stack's layout.
-                chips = np.ascontiguousarray(x[:, : n_cc * sps])
-                chips = chips.reshape(x.shape[0], n_cc, sps)
-                soft_cplx = chips @ p[::-1]
-            else:
+            if p.size != sps:
                 pf = self.pulse.spectrum_cached(sps, convolve_nfft(x.shape[1], p.size))
                 mf = fft_convolve_batch(x, p.astype(complex), taps_fft=pf)
                 soft_cplx = mf[:, np.arange(n_cc) * sps + (p.size - 1) - trim]
+            elif h is None:
+                # Span-1 pulse (trim 0): the matched-filter output at chip
+                # k's peak, index k*sps + sps-1, is one length-sps dot
+                # product of that chip's samples with the reversed pulse.
+                soft_cplx = _chip_peaks(x, p[::-1], 0, n_cc, sps)
+            else:
+                # Receive filter then matched filter, as one FIR: with the
+                # filter's (K-1)//2 delay compensated, chip k's peak reads
+                # the combined taps against x delayed by K-1-(K-1)//2.
+                lead = h.size - 1 - (h.size - 1) // 2
+                soft_cplx = _chip_peaks(x, np.convolve(p[::-1], h[::-1]), lead, n_cc, sps)
             # Undo the transmit power scaling and the matched-filter gain
             # (pulse has unit energy, so MF gain on the aligned chip is 1).
             soft_cplx = soft_cplx / np.sqrt(sps) * np.sqrt(2)
@@ -225,6 +244,7 @@ class ChipModulator:
         sps: int,
         num_chips: int | None = None,
         matched: bool = True,
+        taps: np.ndarray | None = None,
     ) -> np.ndarray:
         """Recover soft binary chips from a waveform.
 
@@ -240,6 +260,14 @@ class ChipModulator:
         aliases straight into the decision variable.  It is the baseline the paper's Section-6.3 power
         advantage is measured against.
 
+        ``taps``, when given, is a receive FIR applied first with its
+        group delay compensated — what ``apply_fir(waveform, taps,
+        "compensated")`` would do.  For span-1 pulses it is folded into
+        the matched filter and evaluated only at the chip peaks; the
+        result equals the two-step filter-then-demodulate chain up to
+        float rounding (~1e-15 relative), not bit for bit.  RRC and
+        ``matched=False`` run the two steps as written.
+
         ``num_chips`` (binary chips, even) limits the output; by default
         every full complex chip contained in the waveform is returned.
         The soft values are scaled so that a cleanly received +-1 chip
@@ -249,10 +277,39 @@ class ChipModulator:
         if sps < 1:
             raise ValueError(f"sps must be >= 1, got {sps}")
         x = as_complex_array(waveform, "waveform")
-        return self.demodulate_batch(x[None], sps, num_chips, matched)[0]
+        return self.demodulate_batch(x[None], sps, num_chips, matched, taps)[0]
 
     def samples_for_chips(self, num_chips: int, sps: int) -> int:
         """Waveform length produced by ``num_chips`` binary chips at ``sps``."""
         if num_chips % 2 != 0:
             raise ValueError("num_chips must be even")
         return (num_chips // 2) * sps
+
+
+def _chip_peaks(x: np.ndarray, w: np.ndarray, lead: int, n_cc: int, sps: int) -> np.ndarray:
+    """``out[:, c] = sum_m w[m] * xd[:, c*sps + m]`` for ``c < n_cc``.
+
+    ``xd`` is each row of ``x`` delayed by ``lead`` zeros and zero-padded
+    at the tail: an FIR with taps ``w`` read once per chip.  Polyphase:
+    ``w`` splits into ``M = ceil(len(w)/sps)`` chip-long phases, one
+    ``(n_cc+M-1, sps) @ (sps, M)`` product per row gives every phase at
+    every chip, and output chip ``c`` sums phase ``q`` at chip ``c+q``.
+    The padded copy is fresh and contiguous, so a row's result never
+    depends on the stack's layout or height.
+    """
+    rows, n = x.shape
+    phases = -(-w.size // sps)
+    width = (n_cc + phases - 1) * sps
+    if lead == 0 and width <= n:
+        xd = np.ascontiguousarray(x[:, :width])
+    else:
+        xd = np.zeros((rows, width), dtype=np.complex128)
+        keep = min(n, width - lead)
+        xd[:, lead : lead + keep] = x[:, :keep]
+    poly = np.zeros(phases * sps, dtype=w.dtype)
+    poly[: w.size] = w
+    z = xd.reshape(rows, n_cc + phases - 1, sps) @ poly.reshape(phases, sps).T
+    out = z[:, :n_cc, 0]
+    for q in range(1, phases):
+        out = out + z[:, q : q + n_cc, q]
+    return out

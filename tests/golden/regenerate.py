@@ -1,16 +1,21 @@
-"""Regenerate the golden DSP vectors (``golden_vectors.npz``).
+"""Regenerate the golden DSP vectors and the example CSVs.
 
 Run from the repository root::
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-The vectors freeze the *serial* reference pipeline's output for a fixed,
-fully seeded scenario: the transmitted waveform at every hop stretch
-factor, the eq.-3 excision taps designed against a tone jammer, and the
-despread soft-decision outputs.  ``tests/test_golden_vectors.py`` then
-checks that both the serial and the batched pipelines still reproduce
-them — a drift detector that pins today's numerics, not just
-serial/batched agreement.
+The vectors (``golden_vectors.npz``) freeze the *serial* reference
+pipeline's output for a fixed, fully seeded scenario: the transmitted
+waveform at every hop stretch factor, the eq.-3 excision taps designed
+against a tone jammer, and the despread soft-decision outputs.
+``tests/test_golden_vectors.py`` then checks that both the serial and the
+batched pipelines still reproduce them — a drift detector that pins
+today's numerics, not just serial/batched agreement.
+
+``examples/<name>.csv`` is what ``repro-bhss run -o`` writes for each
+bundled ``examples/scenarios/<name>.json``, run serially with every
+``REPRO_*`` variable cleared; the same test module reruns each spec and
+compares the bytes.
 
 Only regenerate after an *intentional* numerics change, and say why in
 the commit message.
@@ -18,10 +23,13 @@ the commit message.
 
 from __future__ import annotations
 
+import glob
 import os
 
 import numpy as np
 
+from repro.analysis import write_csv
+from repro.cli import run_spec_file
 from repro.core.config import BHSSConfig
 from repro.core.control import ControlLogic
 from repro.jamming.registry import ToneJammer
@@ -29,6 +37,10 @@ from repro.phy.qpsk import ChipModulator
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUTPUT = os.path.join(HERE, "golden_vectors.npz")
+EXAMPLE_CSVS = os.path.join(HERE, "examples")
+EXAMPLE_SPECS = sorted(
+    glob.glob(os.path.join(os.path.dirname(os.path.dirname(HERE)), "examples", "scenarios", "*.json"))
+)
 
 # Every generation input is pinned here; the test imports these so the
 # recomputation can't drift away from the fixture's provenance.
@@ -93,11 +105,25 @@ def generate() -> dict[str, np.ndarray]:
     return vectors
 
 
+def example_name(spec_path: str) -> str:
+    return os.path.splitext(os.path.basename(spec_path))[0]
+
+
+def write_example_csv(spec_path: str, out_path: str) -> str:
+    """``repro-bhss run <spec> -o <out_path>``, serial, ``REPRO_*`` cleared."""
+    for knob in [k for k in os.environ if k.startswith("REPRO_")]:
+        del os.environ[knob]
+    return write_csv(run_spec_file(spec_path), out_path)
+
+
 def main() -> None:
     vectors = generate()
     np.savez_compressed(OUTPUT, **vectors)
     total = sum(v.nbytes for v in vectors.values())
     print(f"wrote {OUTPUT}: {len(vectors)} arrays, {total / 1024:.0f} KiB uncompressed")
+    for spec_path in EXAMPLE_SPECS:
+        csv_path = os.path.join(EXAMPLE_CSVS, f"{example_name(spec_path)}.csv")
+        print(f"wrote {write_example_csv(spec_path, csv_path)}")
 
 
 if __name__ == "__main__":

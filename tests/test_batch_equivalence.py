@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import BHSSConfig, LinkSimulator
+from repro.core.control import ControlLogic
 from repro.jamming.registry import jammer_from_spec, jammer_names
 from repro.scenario.spec import channel_from_spec
 
@@ -209,6 +210,34 @@ class TestReceiveBatchDirect:
         batched = link.receiver.receive_batch(captures, packet_indices=indices)
         for k, wave, result in zip(indices, captures, batched):
             self.assert_results_equal(link.receiver.receive(wave, packet_index=k), result)
+
+
+
+class TestFoldedLowpassRows:
+    """The fused low-pass + matched filter: serial row == batch row, bit for bit.
+
+    The receiver hands a LOWPASS group's taps to ``demodulate_batch`` and a
+    LOWPASS segment's taps to ``demodulate``; the two must agree at every
+    stack height and whatever the stack's memory layout.
+    """
+
+    @pytest.mark.parametrize("sps", [4, 32, 256])
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_rows_equal_serial_in_every_layout(self, sps, rows):
+        config = BHSSConfig.paper_default()
+        bandwidth = {config.bandwidth_set.sps(b): b for b in config.bandwidth_set.bandwidths}[sps]
+        mod = config.build_modulator()
+        n = 24 * sps + sps // 2 + 1
+        rng = np.random.default_rng(sps + rows)
+        stack = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        taps = ControlLogic(sample_rate=config.sample_rate).lowpass_for(bandwidth, n)
+        batch = mod.demodulate_batch(stack, sps, taps=taps)
+        for i in range(rows):
+            assert np.array_equal(mod.demodulate(stack[i], sps, taps=taps), batch[i])
+        strided = np.zeros((2 * rows, 2 * n), dtype=complex)
+        strided[::2, ::2] = stack
+        for layout in (np.asfortranarray(stack), strided[::2, ::2]):
+            assert np.array_equal(mod.demodulate_batch(layout, sps, taps=taps), batch)
 
 
 class TestBatchSizeInvariance:

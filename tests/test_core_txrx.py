@@ -5,8 +5,12 @@ import pytest
 
 from repro.channel import Impairments, add_awgn
 from repro.core import BHSSConfig, BHSSReceiver, BHSSTransmitter
+from repro.core import receiver as receiver_module
+from repro.core.control import FilterKind
 from repro.core.receiver import AcquiringReceiver
 from repro.dsp import welch_psd
+from repro.dsp.fir import apply_fir, lowpass_taps
+from repro.phy import ChipModulator
 from repro.dsp.spectral import occupied_bandwidth
 from repro.utils import signal_power
 
@@ -145,6 +149,88 @@ class TestReceiverClean:
         rotated = packet.waveform * np.exp(1j * 0.15)  # small static rotation
         result = rx.receive(rotated, phase_track=True)
         assert result.accepted
+
+
+
+class TestLowpassFoldedIntoDemodulator:
+    """LOWPASS taps go to the demodulator; only EXCISION filters the block."""
+
+    @staticmethod
+    def jammed_capture(config, packet_index=0):
+        # A 2.5 MHz noise jammer at -10 dB SJR: wide-band against the
+        # narrow hops (LOWPASS), narrow-band against the wide ones
+        # (EXCISION).
+        packet = BHSSTransmitter(config).transmit(packet_index=packet_index)
+        rng = np.random.default_rng(packet_index)
+        white = rng.standard_normal(packet.num_samples) + 1j * rng.standard_normal(packet.num_samples)
+        jam = apply_fir(white, lowpass_taps(257, 1.25e6, config.sample_rate))
+        jam *= np.sqrt(10.0 / signal_power(jam))
+        return add_awgn(packet.waveform + jam, 20.0, rng=packet_index)
+
+    def test_serial_receive_routes_taps_by_decision_kind(self, monkeypatch):
+        config = cfg()
+        capture = self.jammed_capture(config)
+        fir_taps, demod_taps = [], []
+        real_fir, real_demod = receiver_module.apply_fir, ChipModulator.demodulate
+
+        def fir_spy(x, taps, **kw):
+            fir_taps.append(taps)
+            return real_fir(x, taps, **kw)
+
+        def demod_spy(self, *args, taps=None, **kw):
+            demod_taps.append(taps)
+            return real_demod(self, *args, taps=taps, **kw)
+
+        monkeypatch.setattr(receiver_module, "apply_fir", fir_spy)
+        monkeypatch.setattr(ChipModulator, "demodulate", demod_spy)
+        result = BHSSReceiver(config).receive(capture)
+        kinds = [d.kind for d in result.decisions]
+        assert FilterKind.LOWPASS in kinds and FilterKind.EXCISION in kinds
+        excision = [d.taps for d in result.decisions if d.kind is FilterKind.EXCISION]
+        assert len(fir_taps) == len(excision)
+        assert all(t is e for t, e in zip(fir_taps, excision))
+        expected = [d.taps if d.kind is FilterKind.LOWPASS else None for d in result.decisions]
+        assert len(demod_taps) == len(expected)
+        assert all(t is e for t, e in zip(demod_taps, expected))
+
+        # The same receiver with the low-pass run over the whole block first.
+        def two_step(self, x, *args, taps=None, **kw):
+            if taps is not None:
+                x = real_fir(x, taps, mode="compensated")
+            return real_demod(self, x, *args, **kw)
+
+        monkeypatch.setattr(ChipModulator, "demodulate", two_step)
+        reference = BHSSReceiver(config).receive(capture)
+        np.testing.assert_array_equal(result.symbols, reference.symbols)
+        assert result.quality == pytest.approx(reference.quality, rel=1e-12)
+
+    def test_batch_receive_routes_rows_by_decision_kind(self, monkeypatch):
+        config = cfg()
+        captures = [self.jammed_capture(config, k) for k in range(3)]
+        fir_rows, demod_rows = [], {"taps": 0, "none": 0}
+        real_fir, real_demod = receiver_module.apply_fir_batch, ChipModulator.demodulate_batch
+
+        def fir_spy(x, taps, **kw):
+            fir_rows.append(x.shape[0])
+            return real_fir(x, taps, **kw)
+
+        def demod_spy(self, x, *args, taps=None, **kw):
+            demod_rows["none" if taps is None else "taps"] += x.shape[0]
+            return real_demod(self, x, *args, taps=taps, **kw)
+
+        monkeypatch.setattr(receiver_module, "apply_fir_batch", fir_spy)
+        monkeypatch.setattr(ChipModulator, "demodulate_batch", demod_spy)
+        rx = BHSSReceiver(config)
+        batched = rx.receive_batch(captures)
+        usage = {k: sum(r.filter_usage()[k] for r in batched) for k in ("lowpass", "excision")}
+        assert usage["lowpass"] > 0 and usage["excision"] > 0
+        assert demod_rows["taps"] == usage["lowpass"]
+        assert sum(fir_rows) == usage["excision"]
+        monkeypatch.undo()
+        for k, (wave, result) in enumerate(zip(captures, batched)):
+            serial = rx.receive(wave, packet_index=k)
+            np.testing.assert_array_equal(serial.symbols, result.symbols)
+            assert serial.quality == result.quality
 
 
 class TestAcquiringReceiver:

@@ -13,6 +13,7 @@ from repro.dsp import (
     welch_psd,
 )
 from repro.dsp.mixing import frequency_shift
+from repro.dsp.spectral import welch_psd_batch
 from repro.dsp.windows import get_window
 
 FS = 20e6
@@ -196,6 +197,30 @@ class TestSegmentAverageEqualsLoop:
     def test_too_short_keeps_serial_wording(self):
         with pytest.raises(ValueError, match="PSD needs at least 2 samples, got 1"):
             welch_psd(np.ones(1, dtype=complex), FS)
+
+
+
+class TestWelchBatchEdgeShapes:
+    """welch_psd_batch's segment reduction at its edge shapes equals the loop."""
+
+    @pytest.mark.parametrize(
+        ("rows", "n", "nperseg", "noverlap", "nfft"),
+        [
+            (3, 256, 256, 128, None),  # one segment
+            (2, 64, 2, 1, None),  # nfft 2
+            (5, 257, 2, 0, None),  # nfft 2, odd tail
+            (1, 40000, 8, 4, None),  # one row, ~10k segments
+            (64, 2048, 16, 8, 33),  # tall stack, odd zero-padded nfft
+        ],
+    )
+    def test_rows_equal_segment_loop(self, rows, n, nperseg, noverlap, nfft):
+        rng = np.random.default_rng(n + rows)
+        x = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        freqs, psd = welch_psd_batch(x, FS, nperseg=nperseg, noverlap=noverlap, nfft=nfft)
+        for i in range(rows):
+            ref = segment_loop_psd(x[i], FS, nperseg, noverlap, "hann", nfft)
+            np.testing.assert_array_equal(freqs, ref[0])
+            np.testing.assert_array_equal(psd[i], ref[1])
 
 
 class TestEstimateSpectrum:

@@ -9,6 +9,8 @@ checking:
 * the batched pipeline reproduces the serial pipeline **exactly**
   (``array_equal`` — the bit-for-bit contract, on the same fixed data the
   fixtures pin down).
+
+Every bundled example spec's ``run -o`` CSV is pinned byte for byte too.
 """
 
 import os
@@ -16,7 +18,17 @@ import os
 import numpy as np
 import pytest
 
-from tests.golden.regenerate import OUTPUT, START_CHIP, SYMBOLS, build_pieces, generate
+from tests.golden.regenerate import (
+    EXAMPLE_CSVS,
+    EXAMPLE_SPECS,
+    OUTPUT,
+    START_CHIP,
+    SYMBOLS,
+    build_pieces,
+    example_name,
+    generate,
+    write_example_csv,
+)
 
 pytestmark = pytest.mark.skipif(
     not os.path.exists(OUTPUT), reason="golden fixture missing; run tests/golden/regenerate.py"
@@ -88,3 +100,22 @@ class TestBatchedMatchesSerial:
         np.testing.assert_array_equal(result.symbols[0], golden["despread_symbols"])
         np.testing.assert_array_equal(result.scores[0], golden["despread_scores"])
         np.testing.assert_array_equal(result.quality[0], golden["despread_quality"])
+
+
+class TestExampleCsvs:
+    """``repro-bhss run -o`` on every bundled example spec, byte for byte."""
+
+    def test_every_example_is_pinned(self):
+        pinned = sorted(f[: -len(".csv")] for f in os.listdir(EXAMPLE_CSVS))
+        assert len(EXAMPLE_SPECS) == 9
+        assert pinned == [example_name(p) for p in EXAMPLE_SPECS]
+
+    @pytest.mark.parametrize("spec_path", EXAMPLE_SPECS, ids=example_name)
+    def test_csv_bytes_unchanged(self, spec_path, tmp_path, monkeypatch):
+        for knob in [k for k in os.environ if k.startswith("REPRO_")]:
+            monkeypatch.delenv(knob)
+        out = write_example_csv(spec_path, str(tmp_path / "out.csv"))
+        with open(out, "rb") as got, open(
+            os.path.join(EXAMPLE_CSVS, f"{example_name(spec_path)}.csv"), "rb"
+        ) as pinned:
+            assert got.read() == pinned.read()

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import BHSSConfig
+from repro.core.control import ControlLogic
 from repro.dsp import HalfSinePulse, PulseShape, RectPulse, RootRaisedCosinePulse, fft_convolve
+from repro.dsp.fir import apply_fir_batch
 from repro.phy import (
     ChipModulator,
     DEFAULT_FRAME_FORMAT,
@@ -28,6 +30,7 @@ from repro.phy import (
     nibbles_to_bits,
     nibbles_to_bytes,
 )
+from repro.phy.qpsk import complex_chips_to_binary_batch
 from repro.utils import signal_power
 
 
@@ -240,6 +243,8 @@ class RampPulse(PulseShape):
 
 
 PAPER_SPS = [int(s) for s in BHSSConfig.paper_default().bandwidth_set.sps_values()]
+_BANDS = BHSSConfig.paper_default().bandwidth_set
+HOP_BANDWIDTH = {_BANDS.sps(b): b for b in _BANDS.bandwidths}
 
 
 def fft_matched_filter_reference(pulse, x, sps):
@@ -300,6 +305,114 @@ class TestSampledMatchedFilter:
         np.testing.assert_array_equal(
             mod.demodulate_batch(np.asfortranarray(rows), 8), mod.demodulate_batch(rows, 8)
         )
+
+
+
+def two_step_reference(pulse, x, sps, taps):
+    """Low-pass the whole stack, then read the span-1 matched filter."""
+    p = pulse.waveform(sps)
+    y = apply_fir_batch(x, taps, mode="compensated")
+    n_cc = x.shape[1] // sps
+    chips = np.ascontiguousarray(y[:, : n_cc * sps]).reshape(x.shape[0], n_cc, sps)
+    return complex_chips_to_binary_batch(chips @ p[::-1] / np.sqrt(sps) * np.sqrt(2))
+
+
+# Asymmetric (and, at even length, off-centre) receive filters: the real
+# low-pass taps are symmetric, so only these tell ``h`` from ``h[::-1]``.
+ASYMMETRIC_TAPS = {
+    "odd": np.linspace(1.0, 0.1, 37) * np.cos(np.arange(37) * 0.7),
+    "even": np.linspace(0.2, 1.3, 24) * np.sin(np.arange(24) * 0.9 + 0.3),
+}
+
+
+class TestFoldedReceiveFilter:
+    """A span-1 demodulation with ``taps`` equals low-pass-then-demodulate."""
+
+    @pytest.mark.parametrize("pulse", [HalfSinePulse(), RectPulse()])
+    @pytest.mark.parametrize("sps", PAPER_SPS)
+    def test_lowpass_taps_match_two_step_chain(self, pulse, sps):
+        mod = ChipModulator(pulse)
+        rows = np.stack([capture_with_partial_chip(sps, seed=s) for s in range(3)])
+        bandwidth = HOP_BANDWIDTH[sps]
+        taps = ControlLogic(sample_rate=20e6).lowpass_for(bandwidth, rows.shape[1])
+        assert taps.size > sps  # the fold spans several chips
+        got = mod.demodulate_batch(rows, sps, taps=taps)
+        np.testing.assert_allclose(got, two_step_reference(mod.pulse, rows, sps, taps), rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(ASYMMETRIC_TAPS))
+    @pytest.mark.parametrize("sps", [1, 4, 16, 256])
+    def test_asymmetric_taps_and_pulse_match_two_step_chain(self, kind, sps):
+        mod = ChipModulator(RampPulse())
+        rows = np.stack([capture_with_partial_chip(sps, seed=s) for s in range(2)])
+        taps = ASYMMETRIC_TAPS[kind]
+        got = mod.demodulate_batch(rows, sps, taps=taps)
+        ref = two_step_reference(mod.pulse, rows, sps, taps)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("sps", [4, 64])
+    def test_complex_taps_match_two_step_chain(self, sps):
+        # e.g. eq.-3 excision taps, which are complex in general
+        mod = ChipModulator(HalfSinePulse())
+        rows = np.stack([capture_with_partial_chip(sps, seed=s) for s in range(2)])
+        taps = ASYMMETRIC_TAPS["odd"] * np.exp(0.4j * np.arange(37))
+        got = mod.demodulate_batch(rows, sps, taps=taps)
+        ref = two_step_reference(mod.pulse, rows, sps, taps)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("pulse", [HalfSinePulse(), RectPulse(), RampPulse()])
+    @pytest.mark.parametrize("sps", PAPER_SPS)
+    def test_no_taps_is_the_sampled_matched_filter_exactly(self, pulse, sps):
+        mod = ChipModulator(pulse)
+        rows = np.stack([capture_with_partial_chip(sps, seed=s) for s in range(3)])
+        n_cc = rows.shape[1] // sps
+        chips = np.ascontiguousarray(rows[:, : n_cc * sps]).reshape(3, n_cc, sps)
+        p = mod.pulse.waveform_cached(sps)
+        ref = complex_chips_to_binary_batch(chips @ p[::-1] / np.sqrt(sps) * np.sqrt(2))
+        np.testing.assert_array_equal(mod.demodulate_batch(rows, sps), ref)
+        np.testing.assert_array_equal(mod.demodulate_batch(rows, sps, taps=None), ref)
+
+    @pytest.mark.parametrize("sps", [4, 64, 256])
+    def test_taps_capped_near_block_length(self, sps):
+        # lowpass_for caps K at block_len//2: on a short block the
+        # combined filter spans most of the block, and the zero-padded
+        # edges must still match the two-step chain.
+        mod = ChipModulator(HalfSinePulse())
+        n_cc = 6
+        rows = np.stack([capture_with_partial_chip(sps, n_cc=n_cc, seed=s) for s in range(2)])
+        bandwidth = HOP_BANDWIDTH[sps]
+        control = ControlLogic(sample_rate=20e6)
+        taps = control.lowpass_for(bandwidth, rows.shape[1])
+        assert taps.size == (rows.shape[1] // 2) | 1
+        assert taps.size < control.lowpass_for(bandwidth, 1 << 20).size
+        got = mod.demodulate_batch(rows, sps, taps=taps)
+        np.testing.assert_allclose(got, two_step_reference(mod.pulse, rows, sps, taps), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        ("pulse", "matched"),
+        [(RootRaisedCosinePulse(beta=0.35, span=8), True), (HalfSinePulse(), False)],
+    )
+    def test_unfolded_paths_filter_first_exactly(self, pulse, matched):
+        mod = ChipModulator(pulse)
+        sps = 16
+        rows = np.stack([capture_with_partial_chip(sps, seed=s) for s in range(3)])
+        taps = ControlLogic(sample_rate=20e6).lowpass_for(1.25e6, rows.shape[1])
+        filtered = apply_fir_batch(rows, taps, mode="compensated")
+        np.testing.assert_array_equal(
+            mod.demodulate_batch(rows, sps, matched=matched, taps=taps),
+            mod.demodulate_batch(filtered, sps, matched=matched),
+        )
+        np.testing.assert_array_equal(
+            mod.demodulate(rows[1], sps, matched=matched, taps=taps),
+            mod.demodulate(filtered[1], sps, matched=matched),
+        )
+
+    def test_bad_taps_raise(self):
+        mod = ChipModulator(HalfSinePulse())
+        x = capture_with_partial_chip(8)
+        with pytest.raises(ValueError, match="taps"):
+            mod.demodulate(x, 8, taps=np.ones((2, 3)))
+        with pytest.raises(ValueError, match="taps"):
+            mod.demodulate(x, 8, taps=np.zeros(0))
 
 
 class TestFrameFormat:
